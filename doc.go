@@ -33,16 +33,23 @@
 //     over TCP, sharded by storage target. Real platforms expose many
 //     independent targets (PFS servers, burst buffers) and contention is
 //     per target, so a coordination domain is one target: core.ArbiterSet
-//     keys one core.Arbiter per target, each owned by its own arbitration
-//     goroutine; per-connection reader goroutines route every request to
-//     the shard of the target it addresses, a control goroutine owns
-//     session lifecycle, and the stats combining layer merges per-target
-//     snapshots into the machine-wide wire.Stats (plus a per-target
-//     breakdown). There is still no lock on the hot path, each target's
-//     decisions are deterministic given that target's serialized request
-//     order, and a grant on one target never convoys behind a holder on
-//     another. Clients that never name a target run on the single default
-//     target "" — the original one-goroutine daemon, byte for byte (one
+//     keys one core.Arbiter per target, each guarded by its shard's mutex.
+//     A coordination frame for an uncontended target (no Wait parked
+//     there) runs inline on the connection reader that decoded it, when
+//     the shard lock is free; a contended target, a busy lock, and all
+//     control, timer, drain and snapshot work queue to the shard's own
+//     goroutine. Per-session order is one FIFO across both paths: the
+//     shard goroutine dequeues only under the lock, and an inline reader
+//     first drains what is already queued. On shutdown each shard
+//     goroutine marks its shard stopped under the lock before exiting, so
+//     no reader dispatches (or records a trace event) afterwards. A
+//     control goroutine owns session lifecycle, and the stats combining
+//     layer merges per-target snapshots into the machine-wide wire.Stats
+//     (plus a per-target breakdown). Each target's decisions are
+//     deterministic given that target's serialized request order, and a
+//     grant on one target never convoys behind a holder on another.
+//     Clients that never name a target run on the single default
+//     target "" — the original single-target daemon, byte for byte (one
 //     deliberate stats nuance: an application's stats row appears at its
 //     first coordination verb, when it attaches to a target's arbiter,
 //     rather than at register — registration alone no longer names a
@@ -143,7 +150,7 @@
 //
 // # Trace record and replay
 //
-// The daemon can record everything its arbitration goroutine did —
+// The daemon can record everything its shards did —
 // state-mutating requests, explicit re-arbitrations, and the authorization
 // flips they produced — into a compact, versioned, append-only event log
 // (internal/trace), and internal/replay re-drives such a log through
@@ -194,10 +201,10 @@
 // trailer is reported as truncated, and the trailer's drop count marks a
 // trace lossy — replay refuses it rather than silently diverging.
 //
-// Recording rides the arbitration goroutine without touching its
-// guarantees: events travel by value through a fixed-capacity channel to a
-// drain goroutine that owns all encoding and file I/O, so the hot path
-// neither blocks nor allocates (BenchmarkServerArbitrateRecording: 0
+// Recording rides whichever goroutine holds the shard lock without
+// touching its guarantees: events travel by value through a fixed-capacity
+// channel to a drain goroutine that owns all encoding and file I/O, so the
+// hot path neither blocks nor allocates (BenchmarkServerArbitrateRecording: 0
 // allocs/op, pinned by TestRecordingStaysAllocFree). Overflow is dropped
 // and counted, never waited on — and replay refuses lossy traces rather
 // than silently diverging.
@@ -212,7 +219,7 @@
 // recorded policy, re-arbitrating exactly where the recording did, and
 // requires, per target, the reproduced grant/revoke sequence to match the
 // recorded one event for event — exact, because each target's shard
-// serializes its coordination through one goroutine and the trace captures
+// serializes its coordination under one lock and the trace captures
 // that serialized order (the CI daemon-smoke job records a 64-client burst
 // and asserts the replayed grant count and sequence match the live run;
 // the multi-target smoke does the same per shard). What-if replay
@@ -387,7 +394,7 @@
 // # Sharded arbitration throughput
 //
 // The daemon's arbitration is sharded by storage target (one Arbiter and
-// one goroutine per target, no shared coordination state), which scales
+// one lock per target, no shared coordination state), which scales
 // aggregate grant throughput two ways at once: arbitration work is O(apps
 // in the shard) per grant, and shards run concurrently across cores.
 // BenchmarkServerArbitrateSharded drives one fixed 64-session fleet split
@@ -399,9 +406,9 @@
 //	targets=4    2.2 µs/op   445k grants/s  0 allocs/op  (6.5x)
 //	targets=8    1.1 µs/op   919k grants/s  0 allocs/op  (13.5x)
 //
-// On multi-core machines the per-shard goroutines add wall-clock
-// parallelism on top. TestStressShardedExactlyOneWriterPerTarget pins the
-// safety side under -race: within a target fcfs still admits exactly one
+// On multi-core machines the shards add wall-clock parallelism on top.
+// TestStressShardedExactlyOneWriterPerTarget pins the safety side under
+// -race: within a target fcfs still admits exactly one
 // writer, while a grant on one target never blocks a waiter on another.
 //
 // # Observability
@@ -416,7 +423,7 @@
 //	/debug/pprof/   the standard net/http/pprof profiles
 //
 // Enabling the listener also enables collection; without -admin the
-// registry is nil and the arbitration goroutines run the exact
+// registry is nil and the arbitration hot path runs the exact
 // pre-observability instruction stream (fault-free agg and replay output is
 // byte-identical either way). Collection follows the same discipline as
 // trace recording: every per-shard series is resolved once at shard

@@ -10,7 +10,7 @@ import (
 )
 
 // shardMetrics is one target's hot-path instrumentation, resolved once at
-// shard creation so the arbitration goroutine only ever touches atomic adds
+// shard creation so the arbitration hot path only ever touches atomic adds
 // through pointers it already holds. Nil when the server has no registry.
 type shardMetrics struct {
 	grants         *obs.Counter

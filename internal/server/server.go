@@ -3,18 +3,25 @@
 // the discrete-event simulator.
 //
 // Architecture: coordination is sharded by storage target. One goroutine per
-// connection reads wire.Request frames and routes each to the arbitration
-// goroutine of the target it addresses (register and stats go to a control
+// connection reads wire.Request frames (register and stats go to a control
 // goroutine that owns session lifecycle); one goroutine per connection
 // writes responses and pushed grants/revocations back out. Each target's
 // coordination state — its core.Arbiter from the shared core.ArbiterSet,
-// per-session bindings, pending Waits, the decision log — is owned by that
-// target's arbitration goroutine alone, so there is still no lock on the hot
-// path, per-target decisions are fully deterministic given that target's
-// serialized request order, and a grant on one target never waits for — or
-// convoys behind — arbitration on another. A daemon whose clients never name
-// a target runs exactly one shard (the default target ""), which is the
-// original single-goroutine behavior.
+// per-session bindings, pending Waits, the decision log — is guarded by that
+// target's shard mutex and touched only under it, so per-target decisions
+// are fully deterministic given that target's serialized request order, and
+// a grant on one target never waits for — or convoys behind — arbitration on
+// another. A daemon whose clients never name a target runs exactly one shard
+// (the default target "").
+//
+// A coordination frame addressing an uncontended target (no Wait parked
+// there) runs inline on the connection reader that decoded it, provided the
+// shard lock is free: no goroutine hand-off on the common path. A contended
+// target, a busy lock, and all control, timer, drain and snapshot work go
+// through the shard's queue to its own goroutine, which keeps a contended
+// target's O(apps) arbitration warm on one goroutine. Per-session order is
+// one FIFO across both paths: the shard goroutine dequeues only under the
+// lock, and an inline reader first drains whatever is already queued.
 //
 // The arbitration hot path is allocation-conscious like the simulator's
 // contention path: each Arbiter reuses its view/decision scratch, policies
@@ -77,7 +84,7 @@ type Config struct {
 	// Clock returns the coordination time in seconds. Nil means monotonic
 	// wall time since the server started. Tests inject a logical clock to
 	// make entire runs deterministic. The clock must be safe for concurrent
-	// use: every target's arbitration goroutine reads it.
+	// use: shard goroutines and connection readers all read it.
 	Clock func() float64
 	// LogBound bounds each target's decision log kept for stats: 0 means
 	// the default (256), negative disables logging entirely (benchmarks).
@@ -89,16 +96,16 @@ type Config struct {
 	// the authorization flips arbitration produced) for offline replay with
 	// internal/replay. Every event carries the storage target whose shard
 	// recorded it, so replay can partition the file back into per-target
-	// streams. Recording rides the arbitration goroutines but adds neither
-	// blocking nor allocation to them: events travel by value into the
-	// writer's buffered channel, and overflow is drop-counted, never waited
-	// on. The caller owns the writer and must Close it only after the
-	// server has shut down.
+	// streams. Recording rides whichever goroutine holds the shard lock but
+	// adds neither blocking nor allocation to it: events travel by value
+	// into the writer's buffered channel, and overflow is drop-counted,
+	// never waited on. The caller owns the writer and must Close it only
+	// after the server has shut down.
 	Trace *trace.Writer
 	// Metrics, when set, receives hot-path instrumentation: per-target
 	// grant/arbitration/revoke counters, queue-depth gauges, and
 	// wait-to-grant and hold-time histograms. Each shard resolves its series
-	// once at creation, so the arbitration goroutines only ever perform
+	// once at creation, so the arbitration hot path only ever performs
 	// atomic adds — the hot path stays allocation-free with metrics on. Nil
 	// disables collection entirely (and stats carry no histograms).
 	Metrics *obs.Registry
@@ -143,8 +150,8 @@ type Config struct {
 
 // envelope kinds. kindConnect/kindDisconnect/kindStats and control-plane
 // kindRequest (register, stats) flow into the control goroutine;
-// kindRequest for coordination verbs, kindRecheck, kindDetach and
-// kindSnapshot flow into a shard's arbitration goroutine.
+// kindRequest for coordination verbs on a contended target, kindRecheck,
+// kindDetach and kindSnapshot flow into a shard's queue.
 const (
 	kindRequest = iota
 	kindConnect
@@ -207,7 +214,7 @@ type ident struct {
 
 // session is one client connection. The shared fields are written by the
 // control goroutine and read by reader/writer/shard goroutines; per-target
-// coordination state lives in bindings owned by shard goroutines.
+// coordination state lives in bindings guarded by shard locks.
 type session struct {
 	conn net.Conn
 	// rd and wr are the connection's byte streams, wrapped for byte
@@ -247,7 +254,7 @@ type session struct {
 	handshake *time.Timer
 	// slowDrops, resolved at accept, counts this path: send disconnecting
 	// the client because its response buffer overflowed. Nil without a
-	// metrics registry. Incremented from shard goroutines, hence a counter
+	// metrics registry. Incremented under shard locks, hence a counter
 	// pointer rather than a trip through the control goroutine.
 	slowDrops *obs.Counter
 	// viaControl counts this session's coordination frames still in
@@ -329,10 +336,10 @@ func (s *session) name() string {
 	return ""
 }
 
-// binding is one session's coordination state on one storage target, owned
-// exclusively by that target's arbitration goroutine. It carries what the
-// unsharded daemon kept per session: protocol state, the pending Wait, and
-// the LASSi-style live accounting.
+// binding is one session's coordination state on one storage target,
+// guarded by that target's shard mutex. It carries what the unsharded
+// daemon kept per session: protocol state, the pending Wait, and the
+// LASSi-style live accounting.
 type binding struct {
 	s   *session
 	app *core.AppState
@@ -364,16 +371,21 @@ type binding struct {
 }
 
 // shard is one storage target's coordination domain: an arbiter from the
-// server's ArbiterSet plus everything the arbitration goroutine owns for
-// that target. In serving mode each shard has its own goroutine (run); in
-// inline mode (tests, benchmarks driving handle directly) the caller's
-// goroutine plays that role.
+// server's ArbiterSet plus the state guarded by mu for that target. In
+// serving mode each shard has its own goroutine (run) for queued work, and
+// connection readers run uncontended requests inline (tryInline); in inline
+// mode (tests, benchmarks driving handle directly) the caller's goroutine
+// takes the lock.
 type shard struct {
 	srv    *Server
 	target string
 	arb    *core.Arbiter
 	ch     chan envelope
-	done   chan struct{}
+	// wake tells the shard goroutine that ch has work. Every enqueue sends
+	// a token after its envelope; one buffered token covers every envelope
+	// enqueued before the goroutine takes it.
+	wake chan struct{}
+	done chan struct{}
 
 	// Resolved once at shard creation; nil when the server has no registry
 	// or event log. Shard goroutines touch them without further lookups.
@@ -386,13 +398,22 @@ type shard struct {
 	// with the retryable wire.CodeOverloaded instead of enqueued.
 	hot atomic.Bool
 
-	// Owned by the shard's arbitration goroutine.
+	// pending counts the Waits currently parked (mirrored to m.queueDepth).
+	// Written under mu; readers load it without the lock to decide between
+	// running a request inline and queueing it.
+	pending atomic.Int32
+
+	// mu guards everything below, and ch is dequeued only under it.
+	mu           sync.Mutex
 	bindings     map[*session]*binding
 	recheck      *time.Timer
 	arbitrations uint64
 	grantsServed uint64
-	pending      int32 // Waits currently parked (mirrored to m.queueDepth)
-	draining     bool  // Drain ran: pending Waits failed, new ones refused
+	draining     bool // Drain ran: pending Waits failed, new ones refused
+	// stopped is set once shutdown owns the shard (by the shard goroutine
+	// on its way out, or at creation during shutdown); tryInline refuses to
+	// dispatch afterwards.
+	stopped bool
 
 	// Wait-decomposition counters of departed bindings, folded in by
 	// detach, so the aggregates are cumulative like grantsServed (and like
@@ -541,9 +562,8 @@ const DefaultMaxTargets = 256
 var errTooManyTargets = errors.New("too many storage targets")
 
 // shardFor returns the target's shard, creating it (and, when serving, its
-// arbitration goroutine) on first use — unless that would exceed the
-// target bound. Safe for concurrent use by the connection reader
-// goroutines.
+// goroutine) on first use — unless that would exceed the target bound.
+// Safe for concurrent use by the connection reader goroutines.
 func (srv *Server) shardFor(target string) (*shard, error) {
 	srv.shmu.RLock()
 	sh := srv.shards[target]
@@ -568,12 +588,20 @@ func (srv *Server) shardFor(target string) (*shard, error) {
 		target:   target,
 		arb:      srv.set.Get(target),
 		ch:       make(chan envelope, queueCap),
+		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		bindings: make(map[*session]*binding),
 		ev:       srv.cfg.Events,
 	}
 	if srv.cfg.Metrics != nil {
 		sh.m = newShardMetrics(srv.cfg.Metrics, target)
+	}
+	// A shard born after stop closed can reach shutdown's final snapshot
+	// before its goroutine runs and marks it stopped: no reader may run it.
+	select {
+	case <-srv.stop:
+		sh.stopped = true
+	default:
 	}
 	srv.shards[target] = sh
 	i := sort.Search(len(srv.shardList), func(i int) bool { return srv.shardList[i].target >= target })
@@ -731,17 +759,17 @@ func (srv *Server) Drain() {
 	srv.logf("calciomd: draining")
 	for _, sh := range srv.shardsSorted() {
 		if !serving {
+			sh.mu.Lock()
 			sh.drainWaits()
+			sh.mu.Unlock()
 			continue
 		}
 		ack := make(chan struct{})
-		select {
-		case sh.ch <- envelope{kind: kindDrain, ackCh: ack}:
+		if sh.enqueue(envelope{kind: kindDrain, ackCh: ack}) {
 			select {
 			case <-ack:
 			case <-srv.stop:
 			}
-		case <-srv.stop:
 		}
 	}
 }
@@ -810,8 +838,8 @@ func (srv *Server) GrantsServed() uint64 {
 }
 
 // Stats returns a live metrics snapshot, consistent because each target's
-// slice is computed inside that target's arbitration goroutine and merged
-// by the control goroutine. After Close it returns the final snapshot taken
+// slice is computed under that target's shard lock and merged by the
+// control goroutine. After Close it returns the final snapshot taken
 // at shutdown; on a server that never served it snapshots inline (nothing
 // else owns the state).
 func (srv *Server) Stats() wire.Stats {
@@ -1161,21 +1189,24 @@ func (rl *rateLimiter) admit(srv *Server, s *session, req *wire.Request) (bool, 
 	return true, false
 }
 
-// route sends one decoded request toward the goroutine owning its state:
-// register and stats to the control loop, coordination verbs to the shard
-// of the target they address. A coordination frame read before the session
-// has an identity — a client pipelining ahead of its register response —
-// also goes to the control loop, which processes it strictly after the
-// register it was queued behind and forwards it to the right shard, so the
-// frame is never misrouted to the wrong coordination domain. Returns false
-// when the server is stopping.
+// route delivers one decoded request: register and stats to the control
+// loop, coordination verbs to the shard of the target they address — run
+// right here when the target is uncontended (see shard.tryInline), queued
+// to the shard goroutine otherwise. A coordination frame read before the
+// session has an identity — a client pipelining ahead of its register
+// response — also goes to the control loop, which processes it strictly
+// after the register it was queued behind and forwards it to the right
+// shard, so the frame is never misrouted to the wrong coordination domain.
+// Returns false when the server is stopping.
 func (srv *Server) route(s *session, req wire.Request) bool {
-	ch := srv.reqCh
 	coordination := req.Type != wire.TypeRegister && req.Type != wire.TypeStats
 	if coordination && s.id.Load() != nil && s.viaControl.Load() == 0 {
 		sh, err := srv.shardFor(srv.routeTarget(s, req.Target))
 		if err != nil {
 			s.reply(req.Seq, err, req.Target)
+			return true
+		}
+		if sh.tryInline(s, &req) {
 			return true
 		}
 		if sheddable(req.Type) && sh.shed() {
@@ -1185,8 +1216,9 @@ func (srv *Server) route(s *session, req wire.Request) bool {
 			srv.shedReply(s, req.Seq, req.Type, sh.target, srv.clock())
 			return true
 		}
-		ch = sh.ch
-	} else if coordination {
+		return sh.enqueue(envelope{kind: kindRequest, s: s, req: req})
+	}
+	if coordination {
 		s.viaControl.Add(1)
 	} else if req.Type == wire.TypeStats && srv.ctrlShed() {
 		if srv.m != nil {
@@ -1196,7 +1228,7 @@ func (srv *Server) route(s *session, req wire.Request) bool {
 		return true
 	}
 	select {
-	case ch <- envelope{kind: kindRequest, s: s, req: req}:
+	case srv.reqCh <- envelope{kind: kindRequest, s: s, req: req}:
 	case <-srv.stop:
 		return false
 	}
@@ -1332,10 +1364,7 @@ func (srv *Server) dispatch(env envelope) {
 				env.s.viaControl.Add(-1)
 				return
 			}
-			select {
-			case sh.ch <- env:
-			case <-srv.stop:
-			}
+			sh.enqueue(env)
 			env.s.viaControl.Add(-1)
 		}
 	}
@@ -1434,13 +1463,12 @@ func (srv *Server) resume(s, old *session, req wire.Request) {
 	}()
 	for _, sh := range srv.shardsSorted() {
 		if !live {
+			sh.mu.Lock()
 			sh.rebind(old, s)
+			sh.mu.Unlock()
 			continue
 		}
-		select {
-		case sh.ch <- envelope{kind: kindRebind, s: old, to: s}:
-		case <-srv.stop:
-		}
+		sh.enqueue(envelope{kind: kindRebind, s: old, to: s})
 	}
 	old.teardown()
 	srv.foldDegraded(req, true)
@@ -1563,14 +1591,13 @@ func (srv *Server) drop(s *session, why string) {
 	}()
 	for _, sh := range srv.shardsSorted() {
 		if !live {
+			sh.mu.Lock()
 			sh.detach(s)
+			sh.mu.Unlock()
 			continue
 		}
-		select {
-		case sh.ch <- envelope{kind: kindDetach, s: s}:
-		case <-srv.stop:
-			// Shutdown owns the rest of the teardown.
-		}
+		// On stop, shutdown owns the rest of the teardown.
+		sh.enqueue(envelope{kind: kindDetach, s: s})
 	}
 	s.teardown()
 }
@@ -1602,11 +1629,11 @@ func (srv *Server) evictIdle() {
 }
 
 // shutdown runs on the control goroutine once stop is closed: it waits for
-// every shard goroutine to exit (after which this goroutine owns all
-// coordination state again), takes the final snapshot inline, and tears
-// down the remaining sessions. Shards created after stop closed never
-// dispatch anything (run checks stop first), so waiting on the current list
-// is complete.
+// every shard goroutine to exit (each marks its shard stopped under the
+// lock on the way out, after which no reader dispatches there), takes the
+// final snapshot, and tears down the remaining sessions. Shards created
+// after stop closed are born stopped and never dispatch anything, so
+// waiting on the current list is complete.
 func (srv *Server) shutdown() {
 	for _, sh := range srv.shardsSorted() {
 		<-sh.done
@@ -1616,12 +1643,6 @@ func (srv *Server) shutdown() {
 	srv.mu.Lock()
 	srv.final = st
 	srv.mu.Unlock()
-	for _, sh := range srv.shardsSorted() {
-		if sh.recheck != nil {
-			sh.recheck.Stop()
-			sh.recheck = nil
-		}
-	}
 	for s := range srv.sessions {
 		s.gone.Store(true)
 		s.teardown()
@@ -1630,11 +1651,13 @@ func (srv *Server) shutdown() {
 	srv.logf("calciomd: shutdown after %.3fs, %d grants served", now, st.GrantsServed)
 }
 
-// run is a shard's arbitration goroutine. The priority check on stop
-// guarantees a shard created during shutdown never dispatches (and so never
-// records a trace event after the control loop has exited).
+// run is a shard's goroutine: on each wake it drains the queue under the
+// lock. On stop it marks the shard stopped under the lock before closing
+// done, so once shutdown has seen done no reader dispatches on the shard
+// (and so none records a trace event after the control loop has exited).
 func (sh *shard) run() {
 	defer close(sh.done)
+	defer sh.halt()
 	for {
 		select {
 		case <-sh.srv.stop:
@@ -1642,29 +1665,92 @@ func (sh *shard) run() {
 		default:
 		}
 		select {
-		case env := <-sh.ch:
-			sh.dispatch(env)
-			// Clear a stale brownout once the queue has drained (readers
-			// only re-evaluate on arrival; see Server.loop).
-			if sh.hot.Load() && len(sh.ch) <= shedLoWater {
-				sh.hot.Store(false)
-			}
+		case <-sh.wake:
+			sh.mu.Lock()
+			sh.drain()
+			sh.mu.Unlock()
 		case <-sh.srv.stop:
 			return
 		}
 	}
 }
 
+// halt hands the shard to shutdown: no reader runs it afterwards, and its
+// recheck timer is disarmed.
+func (sh *shard) halt() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.stopped = true
+	if sh.recheck != nil {
+		sh.recheck.Stop()
+		sh.recheck = nil
+	}
+}
+
+// enqueue hands an envelope to the shard goroutine and wakes it. It blocks
+// while the queue is full and returns false when the server is stopping.
+func (sh *shard) enqueue(env envelope) bool {
+	select {
+	case sh.ch <- env:
+	case <-sh.srv.stop:
+		return false
+	}
+	select {
+	case sh.wake <- struct{}{}:
+	default: // a token is already pending
+	}
+	return true
+}
+
+// drain dispatches the envelopes queued when it starts; the caller holds
+// mu. Bounding the pass by the starting length keeps readers that refill
+// the queue from holding the shard goroutine off its stop check.
+func (sh *shard) drain() {
+	for n := len(sh.ch); n > 0; n-- {
+		sh.dispatch(<-sh.ch)
+	}
+	// Clear a stale brownout once the queue has drained (readers only
+	// re-evaluate on arrival; see Server.loop).
+	if sh.hot.Load() && len(sh.ch) <= shedLoWater {
+		sh.hot.Store(false)
+	}
+}
+
+// tryInline runs one coordination request on the calling reader goroutine
+// when the target is uncontended: no Wait parked and the lock free. It
+// first drains the queue, so any earlier frame of the same session —
+// queued by this reader while the target was contended, or forwarded by
+// the control goroutine — is handled before this one. It returns false,
+// leaving the request to the queue, when the target is contended, the lock
+// is busy, or the shard is stopped.
+func (sh *shard) tryInline(s *session, req *wire.Request) bool {
+	if sh.pending.Load() != 0 || !sh.mu.TryLock() {
+		return false
+	}
+	defer sh.mu.Unlock()
+	if sh.stopped {
+		return false
+	}
+	sh.drain()
+	sh.request(s, req)
+	return true
+}
+
+// request handles one coordination request from a live session.
+func (sh *shard) request(s *session, req *wire.Request) {
+	if s.gone.Load() {
+		s.replyGone(req.Seq, req.Target)
+		return
+	}
+	now := sh.srv.clock()
+	s.touch(now)
+	sh.handle(s, *req, now)
+}
+
 func (sh *shard) dispatch(env envelope) {
 	switch env.kind {
 	case kindRequest:
-		if env.s.gone.Load() {
-			env.s.replyGone(env.req.Seq, env.req.Target)
-			return
-		}
-		now := sh.srv.clock()
-		env.s.touch(now)
-		sh.handle(env.s, env.req, now)
+		sh.request(env.s, &env.req)
 	case kindRecheck:
 		now := sh.srv.clock()
 		sh.rec(trace.Event{Type: trace.EvRecheck, Time: now})
@@ -1682,10 +1768,11 @@ func (sh *shard) dispatch(env envelope) {
 }
 
 // handle processes one request. It must stay panic-free for any request a
-// client can send: protocol violations become error responses. Called from
-// the shard's goroutine in serving mode, or from the caller's goroutine in
-// inline mode (tests and benchmarks may drive disjoint shards concurrently
-// — all state touched here is shard-local).
+// client can send: protocol violations become error responses. Called with
+// sh.mu held: from the shard's goroutine or a connection reader in serving
+// mode, or from the caller's goroutine in inline mode (tests and benchmarks
+// may drive disjoint shards concurrently — all state touched here is
+// shard-local).
 func (sh *shard) handle(s *session, req wire.Request, now float64) {
 	b := sh.bindings[s]
 	if b == nil {
@@ -1783,11 +1870,11 @@ func (sh *shard) handle(s *session, req wire.Request, now float64) {
 		b.waitSeq = req.Seq
 		b.waitFrom = now
 		b.waitConvoy = sh.arb.OtherAuthorized(b.app)
-		b.waitPos = sh.pending
+		b.waitPos = sh.pending.Load()
 		s.pendingWaits.Add(1)
-		sh.pending++
+		n := sh.pending.Add(1)
 		if sh.m != nil {
-			sh.m.queueDepth.Set(int64(sh.pending))
+			sh.m.queueDepth.Set(int64(n))
 		}
 
 	case wire.TypeRelease:
@@ -1996,9 +2083,9 @@ func (sh *shard) serveGrant(b *binding, seq uint64, now float64) {
 // drained, or departed with its session).
 func (sh *shard) unpark(s *session) {
 	s.pendingWaits.Add(-1)
-	sh.pending--
+	n := sh.pending.Add(-1)
 	if sh.m != nil {
-		sh.m.queueDepth.Set(int64(sh.pending))
+		sh.m.queueDepth.Set(int64(n))
 	}
 }
 
@@ -2086,10 +2173,7 @@ func (sh *shard) arbitrate(now float64) {
 	}
 	if out.RecheckAfter > 0 {
 		sh.recheck = time.AfterFunc(secondsToDuration(out.RecheckAfter), func() {
-			select {
-			case sh.ch <- envelope{kind: kindRecheck}:
-			case <-sh.srv.stop:
-			}
+			sh.enqueue(envelope{kind: kindRecheck})
 		})
 	}
 }
@@ -2103,7 +2187,7 @@ func secondsToDuration(s float64) time.Duration {
 
 // snap builds this shard's slice of the stats snapshot: per-binding
 // LASSi-style accounting in registration order, the shard aggregates, and
-// the latest decision. Runs on the shard's goroutine (or inline).
+// the latest decision. Runs under sh.mu.
 func (sh *shard) snap(now float64) shardSnap {
 	sn := shardSnap{
 		target:         sh.target,
@@ -2172,35 +2256,36 @@ func (sh *shard) snap(now float64) shardSnap {
 	return sn
 }
 
-// snapshotLive gathers every shard's slice through its arbitration
-// goroutine and merges. Runs on the control goroutine.
+// snapshotLive gathers every shard's slice through its queue and merges.
+// Runs on the control goroutine.
 func (srv *Server) snapshotLive() wire.Stats {
 	now := srv.clock()
 	shards := srv.shardsSorted()
 	snaps := make([]shardSnap, 0, len(shards))
 	for _, sh := range shards {
 		ch := make(chan shardSnap, 1)
+		if !sh.enqueue(envelope{kind: kindSnapshot, now: now, snapCh: ch}) {
+			continue
+		}
 		select {
-		case sh.ch <- envelope{kind: kindSnapshot, now: now, snapCh: ch}:
-			select {
-			case sn := <-ch:
-				snaps = append(snaps, sn)
-			case <-srv.stop: // shard is exiting; shutdown owns the final snapshot
-			}
-		case <-srv.stop:
+		case sn := <-ch:
+			snaps = append(snaps, sn)
+		case <-srv.stop: // shard is exiting; shutdown owns the final snapshot
 		}
 	}
 	return srv.merge(now, snaps)
 }
 
-// snapshot builds the full snapshot inline: every shard's slice on the
-// calling goroutine. Only valid when no shard goroutines run (inline mode,
-// or shutdown after they exited).
+// snapshot builds the full snapshot on the calling goroutine, taking each
+// shard's lock in turn. Only used when no shard goroutines run (inline
+// mode, or shutdown after they exited).
 func (srv *Server) snapshot(now float64) wire.Stats {
 	shards := srv.shardsSorted()
 	snaps := make([]shardSnap, 0, len(shards))
 	for _, sh := range shards {
+		sh.mu.Lock()
 		snaps = append(snaps, sh.snap(now))
+		sh.mu.Unlock()
 	}
 	return srv.merge(now, snaps)
 }
@@ -2279,9 +2364,10 @@ func (srv *Server) merge(now float64, snaps []shardSnap) wire.Stats {
 }
 
 // handle is the inline-mode entry point: it plays the roles of the reader,
-// control and shard goroutines on the caller's goroutine. Tests and
-// benchmarks drive serialized (or per-shard-concurrent) request sequences
-// through it; a serving server routes through readLoop instead.
+// control and shard goroutines on the caller's goroutine, taking the shard
+// lock for coordination verbs. Tests and benchmarks drive serialized (or
+// per-shard-concurrent) request sequences through it; a serving server
+// routes through readLoop instead.
 func (srv *Server) handle(s *session, req wire.Request) {
 	now := srv.clock()
 	s.touch(now)
@@ -2297,6 +2383,8 @@ func (srv *Server) handle(s *session, req wire.Request) {
 			s.reply(req.Seq, err, req.Target)
 			return
 		}
+		sh.mu.Lock()
 		sh.handle(s, req, now)
+		sh.mu.Unlock()
 	}
 }
