@@ -289,14 +289,11 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaSweepFabric is the macro-benchmark the solver rewrite
-// targets: a full ∆-graph sweep under the explicit-fabric contention model
-// (TrueNetwork), the paper's most expensive evaluation mode. Since the
-// persistent sweep executor, the timed region holds one delta.Sweeper and
-// one output Series across iterations — what a parameter study does — so
-// the remaining allocs/op are the per-sweep worker goroutines, not platform
-// construction (TestSweeperSteadyStateAllocs pins the bound).
-func BenchmarkDeltaSweepFabric(b *testing.B) {
+// fabricSweepScenario is the macro sweep benchmarks' scenario: two
+// 2048-process IOR applications on Surveyor under the explicit-fabric
+// contention model (TrueNetwork), the paper's most expensive evaluation
+// mode.
+func fabricSweepScenario() delta.Scenario {
 	sc := experiments.SurveyorPlatform()
 	sc.TrueNetwork = true
 	w := ior.Workload{Pattern: ior.Contiguous, BlockSize: 32 << 20, BlocksPerProc: 1, ReqBytes: 4 << 20}
@@ -304,14 +301,40 @@ func BenchmarkDeltaSweepFabric(b *testing.B) {
 		{Name: "A", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
 		{Name: "B", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
 	}
-	dts := []float64{-10, -5, -2, 0, 2, 5, 10}
+	return sc
+}
+
+// denseSweepDTs is paper-figure resolution: 49 offsets, one second apart.
+func denseSweepDTs() []float64 {
+	dts := make([]float64, 49)
+	for i := range dts {
+		dts[i] = float64(i - 24)
+	}
+	return dts
+}
+
+// benchSweeper times repeated sweeps on one persistent delta.Sweeper and
+// one output Series — what a parameter study does — so the timed region
+// holds no platform construction or worker spawning.
+func benchSweeper(b *testing.B, factory delta.PolicyFactory, dts []float64) {
+	sc := fabricSweepScenario()
 	sw := delta.NewSweeper()
+	defer sw.Close()
 	var s delta.Series
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.SweepInto(&s, sc, delta.Uncoordinated, dts)
+		sw.SweepInto(&s, sc, factory, dts)
 	}
+}
+
+// BenchmarkDeltaSweepFabric is the macro-benchmark the solver rewrite
+// targets: a full ∆-graph sweep under the explicit-fabric contention model.
+// An uncoordinated steady-state sweep allocates nothing
+// (TestSweeperSteadyStateAllocs pins it); allocs/op is the first
+// iteration's platform construction amortized over b.N.
+func BenchmarkDeltaSweepFabric(b *testing.B) {
+	benchSweeper(b, delta.Uncoordinated, []float64{-10, -5, -2, 0, 2, 5, 10})
 }
 
 // BenchmarkDeltaSweepFabricDense is the same sweep at paper-figure
@@ -319,24 +342,16 @@ func BenchmarkDeltaSweepFabric(b *testing.B) {
 // engine reuse introduced with sim.Engine.Reset amortizes event-record
 // allocations across points instead of re-paying them per run.
 func BenchmarkDeltaSweepFabricDense(b *testing.B) {
-	sc := experiments.SurveyorPlatform()
-	sc.TrueNetwork = true
-	w := ior.Workload{Pattern: ior.Contiguous, BlockSize: 32 << 20, BlocksPerProc: 1, ReqBytes: 4 << 20}
-	sc.Apps = []delta.AppSpec{
-		{Name: "A", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
-		{Name: "B", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
-	}
-	dts := make([]float64, 49)
-	for i := range dts {
-		dts[i] = float64(i - 24)
-	}
-	sw := delta.NewSweeper()
-	var s delta.Series
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.SweepInto(&s, sc, delta.Uncoordinated, dts)
-	}
+	benchSweeper(b, delta.Uncoordinated, denseSweepDTs())
+}
+
+// BenchmarkDeltaSweepFabricFCFS is the dense sweep with the coordination
+// layer on (FCFS serialization), the path Figs. 7 and 9 take. Sweep
+// workers arbitrate through the indexed, unlogged path; what remains per
+// point is the coordination layer's per-Wait resumer (a few allocs per
+// point, pinned by TestSweeperSteadyStateAllocs).
+func BenchmarkDeltaSweepFabricFCFS(b *testing.B) {
+	benchSweeper(b, delta.FCFS, denseSweepDTs())
 }
 
 // BenchmarkDeltaPointReused measures the marginal cost of one additional
@@ -344,13 +359,7 @@ func BenchmarkDeltaSweepFabricDense(b *testing.B) {
 // first costs since the resettable-platform rework: pure simulation, zero
 // allocations.
 func BenchmarkDeltaPointReused(b *testing.B) {
-	sc := experiments.SurveyorPlatform()
-	sc.TrueNetwork = true
-	w := ior.Workload{Pattern: ior.Contiguous, BlockSize: 32 << 20, BlocksPerProc: 1, ReqBytes: 4 << 20}
-	sc.Apps = []delta.AppSpec{
-		{Name: "A", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
-		{Name: "B", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
-	}
+	sc := fabricSweepScenario()
 	pl := platform.NewPool().Acquire(sc.Spec(), nil)
 	starts := []float64{0, 5}
 	pl.Run(starts, nil)

@@ -356,20 +356,24 @@
 //   - mpi.Platform.Reset: everything is immutable after construction; the
 //     call only revalidates invariants.
 //   - core.Layer.Reset: retains registrations (and so arrival tie-break
-//     order) and the policy; clears protocol states, accounting and the
+//     order), the policy, the bound arbitration callback and recheck timer,
+//     and each AppState's popped info maps (Prepare refills one instead of
+//     cloning a fresh map); clears protocol states, accounting and the
 //     decision log — with fresh backing, so Log slices already handed out
 //     stay valid.
 //   - ior.Runner.Reset: retains the armed workload (presets fold their
-//     defaults in exactly once, at construction) and cached file names;
-//     clears per-run statistics, keeping their backing.
+//     defaults in exactly once, at construction), cached file names and
+//     the cached phase Prepare info; clears per-run statistics, keeping
+//     their backing.
 //
 // Construction order is reproduced exactly on reuse (fabric, then server
 // links, then app NICs, then registrations), so dense IDs — and with them
 // every float accumulation order — match a fresh build: a reused platform
 // is bit-identical to a fresh one, pinned by TestReusedPlatformMatchesFresh
 // and the ior event-for-event regression. The payoff is pinned too: from a
-// worker's second sweep point on, a TrueNetwork point runs with ZERO
-// allocations (TestSweepPointSteadyStateAllocFree, BenchmarkDeltaPointReused):
+// worker's second sweep point on, an uncoordinated TrueNetwork point runs
+// with ZERO allocations (internal/platform's TestSteadyStateRunAllocFree,
+// BenchmarkDeltaPointReused):
 //
 //	BenchmarkDeltaSweepFabric        0.60 ms/op  7077 allocs → 0.32 ms/op  1002 allocs  (7.1x)
 //	BenchmarkDeltaSweepFabricDense   3.59 ms/op 43553 allocs → 1.65 ms/op  1002 allocs  (43x, 2.2x time)
@@ -381,15 +385,36 @@
 // solo-calibration pool and a set of persistent worker goroutines (one
 // platform pool each) fed per sweep through a channel, reused across
 // sweeps, and SweepInto reuses a caller-owned Series' backing. Repeated
-// sweeps of one scenario (parameter studies, the macro benchmarks) now
-// allocate nothing at all — the last per-sweep cost, spawning the worker
-// goroutines, went with the feed channels:
+// uncoordinated sweeps of one scenario (parameter studies, the macro
+// benchmarks) now allocate nothing at all — the last per-sweep cost,
+// spawning the worker goroutines, went with the feed channels:
 //
 //	BenchmarkDeltaSweepFabric        0.32 ms/op  1002 allocs → 0.27 ms/op  0 allocs
 //	BenchmarkDeltaSweepFabricDense   1.65 ms/op  1002 allocs → 1.60 ms/op  ~1 alloc
 //
-// TestSweeperSteadyStateAllocs pins the zero; TestSweeperReuseBitIdentical
-// pins that executor reuse stays bit-identical to fresh sweeps.
+// Coordinated sweeps (fcfs, interrupt, interfere, delay — three of the
+// four policies behind Figs. 7 and 9) also run the coordination layer per
+// point, which used to allocate ~400 objects per point: a policy Decision
+// map and formatted reason per arbitration, an unbounded decision-log
+// record, boxed trace arguments, a method-value closure and an event
+// handle per coordination message, and a fresh Prepare info map per
+// phase. Sweep workers now set their platforms' Arbiter up the way the
+// daemon does (indexed policy path, logging off — a sweep never reads the
+// log), the Layer delivers messages through a bound callback and the
+// handle-free sim.Engine.PostAfter, rechecks through one reusable Timer,
+// and Prepare info is cached by the runner and refilled in place by the
+// AppState. What remains per point is each parked Wait's sim.Resumer and
+// the Resume method value its grant message carries:
+//
+//	BenchmarkDeltaSweepFabricFCFS    3.77 ms/op 19580 allocs → 2.21 ms/op  202 allocs  (49 points, ~4 per point)
+//
+// TestSweeperSteadyStateAllocs pins both: zero for uncoordinated sweeps,
+// at most 8 allocations per point for fcfs, interrupt and interfere on a
+// 49-point sweep. TestSweeperReuseBitIdentical pins, under every policy,
+// that executor reuse stays bit-identical to fresh sweeps and that the
+// workers' indexed, unlogged arbitration gives points bit-identical to
+// Scenario.Run, which keeps the map-based, fully logged path (so
+// Result.Decisions and every figure output are unchanged).
 //
 // # Sharded arbitration throughput
 //

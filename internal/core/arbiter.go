@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -72,12 +73,27 @@ func (a *AppState) View() AppView {
 
 // Prepare stacks information about the upcoming I/O accesses, as the paper's
 // Prepare(MPI_Info) does. Recognized keys update the view policies see.
+// The stack holds a private copy of info; a map popped by an earlier
+// Complete (or cleared by Arbiter.Reset) is refilled instead of cloning a
+// fresh one, so a phase-per-Prepare steady state allocates nothing.
 func (a *AppState) Prepare(info Info) {
-	a.infoStack = append(a.infoStack, info.Clone())
+	n := len(a.infoStack)
+	if n == cap(a.infoStack) {
+		a.infoStack = append(a.infoStack, nil)
+	} else {
+		a.infoStack = a.infoStack[:n+1]
+	}
+	if m := a.infoStack[n]; m != nil {
+		clear(m)
+		maps.Copy(m, info)
+	} else {
+		a.infoStack[n] = info.Clone()
+	}
 	a.applyInfo()
 }
 
-// Complete unstacks the most recent Prepare.
+// Complete unstacks the most recent Prepare, keeping its map for the next
+// Prepare to refill.
 func (a *AppState) Complete() error {
 	if len(a.infoStack) == 0 {
 		return fmt.Errorf("core: %s: Complete without Prepare", a.name)
@@ -164,9 +180,11 @@ func (a *AppState) Progress(bytesDone float64) {
 // fast path stays allocation-free; recheck follows Decision.RecheckAfter
 // semantics.
 //
-// The daemon's arbitration loop enables this path (Arbiter.SetIndexed); the
-// simulator keeps the map-based path so its decision logs — which feed the
-// figure reproductions — are byte-identical to the original implementation.
+// The daemon's arbitration loop enables this path (Arbiter.SetIndexed), and
+// so do delta.Sweeper workers, which never read the decision log; the rest
+// of the simulator keeps the map-based path so its decision logs — which
+// feed the figure reproductions — are byte-identical to the original
+// implementation.
 type IndexedArbitrator interface {
 	ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (reason string, recheck float64)
 }
@@ -244,8 +262,9 @@ func (ar *Arbiter) SetIndexed(on bool) { ar.useIndexed = on }
 // Reset returns the arbiter to its just-constructed state while keeping the
 // registered applications (in registration order) and the arbitration
 // scratch: every AppState goes back to Idle/unauthorized with an empty info
-// stack, and the decision log restarts with fresh backing — the old log
-// slice may have escaped via Log and must stay valid for its holder.
+// stack (its maps kept for Prepare to refill), and the decision log restarts
+// with fresh backing — the old log slice may have escaped via Log and must
+// stay valid for its holder.
 func (ar *Arbiter) Reset() {
 	for _, a := range ar.apps {
 		a.state = Idle
@@ -256,9 +275,6 @@ func (ar *Arbiter) Reset() {
 		a.files, a.rounds = 0, 0
 		a.aloneBW = 0
 		a.allowedNow = false
-		for i := range a.infoStack {
-			a.infoStack[i] = nil
-		}
 		a.infoStack = a.infoStack[:0]
 	}
 	ar.log = nil

@@ -160,3 +160,51 @@ func TestResetRestoresRegistrationCores(t *testing.T) {
 		t.Fatal("Reset left protocol state or log behind")
 	}
 }
+
+// TestPrepareReusesPoppedInfo: Prepare refills the map a Complete popped
+// (or a Reset cleared) instead of cloning a fresh one — no stale keys
+// survive the refill, the caller's map is never aliased, and the steady
+// Prepare/Complete cycle allocates nothing.
+func TestPrepareReusesPoppedInfo(t *testing.T) {
+	ar := NewArbiter(FCFSPolicy{})
+	a, err := ar.Register("a", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := Info{}
+	first.SetFloat(KeyBytesTotal, 100)
+	first.SetInt(KeyFiles, 3)
+	a.Prepare(first)
+	if err := a.Complete(); err != nil {
+		t.Fatal(err)
+	}
+	second := Info{}
+	second.SetFloat(KeyBytesTotal, 50)
+	a.Prepare(second)
+	if v := a.View(); v.BytesTotal != 50 || v.Files != 0 {
+		t.Fatalf("refilled view = %+v, want bytes 50 and no stale files key", v)
+	}
+	second.SetInt(KeyFiles, 9) // the stack holds a copy
+	if err := a.Complete(); err != nil {
+		t.Fatal(err)
+	}
+	a.Prepare(second)
+	if v := a.View(); v.Files != 9 {
+		t.Fatalf("view after re-Prepare = %+v, want files 9", v)
+	}
+	ar.Reset()
+	if v := a.View(); v.BytesTotal != 0 || v.Files != 0 {
+		t.Fatalf("view after Reset = %+v, want empty", v)
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		a.Prepare(first)
+		if err := a.Complete(); err != nil {
+			t.Fatal(err)
+		}
+		ar.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("Prepare/Complete/Reset cycle allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -116,7 +116,12 @@ type Layer struct {
 	arb     *Arbiter
 	latency float64
 	coords  []*Coordinator
-	recheck *sim.Event
+
+	// arbitrateFn is l.arbitrate bound once, so delivering a message
+	// allocates no method-value closure; recheck is the reusable timer
+	// behind a policy's RecheckAfter.
+	arbitrateFn func()
+	recheck     *sim.Timer
 }
 
 // NewLayer creates a coordination layer with the given policy and one-way
@@ -126,20 +131,26 @@ func NewLayer(eng *sim.Engine, policy Policy, latency float64) *Layer {
 	if latency < 0 {
 		panic("core: negative latency")
 	}
-	return &Layer{eng: eng, arb: NewArbiter(policy), latency: latency}
+	l := &Layer{eng: eng, arb: NewArbiter(policy), latency: latency}
+	l.arbitrateFn = l.arbitrate
+	l.recheck = eng.NewTimer(l.arbitrateFn)
+	return l
 }
 
 // Policy returns the active policy.
 func (l *Layer) Policy() Policy { return l.arb.Policy() }
 
+// Arbiter returns the layer's arbitration core, for callers that tune it
+// (Arbiter.SetIndexed, Arbiter.SetLogBound) before the first run.
+func (l *Layer) Arbiter() *Arbiter { return l.arb }
+
 // Reset returns the layer to its just-constructed state on a freshly reset
 // engine, keeping the registered coordinators (and hence the policy and the
 // arrival tie-break order) so a reused platform re-runs a scenario without
 // re-registering. The decision log restarts with fresh backing — log slices
-// already handed out via Log stay valid. The pending recheck event, if any,
-// was dropped by the engine reset.
+// already handed out via Log stay valid. The pending recheck, if any, was
+// disarmed by the engine reset.
 func (l *Layer) Reset() {
-	l.recheck = nil
 	l.arb.Reset()
 	for _, c := range l.coords {
 		c.reset()
@@ -168,30 +179,29 @@ func (l *Layer) Register(name string, cores int) *Coordinator {
 // poke schedules an arbitration after the message latency. Every protocol
 // action (Inform, Release, End) calls it.
 func (l *Layer) poke() {
-	l.eng.Schedule(l.latency, l.arbitrate)
+	l.eng.PostAfter(l.latency, l.arbitrateFn)
 }
 
 func (l *Layer) arbitrate() {
-	if l.recheck != nil {
-		l.eng.Cancel(l.recheck)
-		l.recheck = nil
-	}
+	l.recheck.Cancel()
 	out := l.arb.Arbitrate(l.eng.Now())
 	if !out.Acted {
 		return
 	}
-	if rec := l.arb.LastRecord(); rec != nil {
-		l.eng.Tracef("calciom: policy=%s allowed=%v reason=%s", rec.Policy, rec.Allowed, rec.Reason)
+	if l.eng.Tracing() {
+		if rec := l.arb.LastRecord(); rec != nil {
+			l.eng.Tracef("calciom: policy=%s allowed=%v reason=%s", rec.Policy, rec.Allowed, rec.Reason)
+		}
 	}
 	for _, a := range out.Granted {
 		c := a.Data.(*Coordinator)
 		if c.waiting != nil {
 			// Authorization message travels back to the application.
 			r := c.waiting
-			l.eng.Schedule(l.latency, r.Resume)
+			l.eng.PostAfter(l.latency, r.Resume)
 		}
 	}
 	if out.RecheckAfter > 0 {
-		l.recheck = l.eng.Schedule(out.RecheckAfter, l.arbitrate)
+		l.recheck.Schedule(out.RecheckAfter)
 	}
 }

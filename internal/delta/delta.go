@@ -193,9 +193,12 @@ func (sc Scenario) Sweep(factory PolicyFactory, dts []float64) Series {
 // pool, and a set of persistent worker goroutines (one platform pool each)
 // fed per sweep through a channel, all reused across Sweep calls — a
 // repeated sweep pays neither platform construction, solo recalibration nor
-// worker-goroutine spawning; the steady-state SweepInto performs zero
-// allocations (TestSweeperSteadyStateAllocs). Results are bit-identical to
-// a fresh Sweep.
+// worker-goroutine spawning. A steady-state uncoordinated SweepInto
+// performs zero allocations; a coordinated one (fcfs, interrupt,
+// interfere) about four per point — each parked Wait's resumer — since
+// workers arbitrate through the indexed, unlogged path
+// (TestSweeperSteadyStateAllocs). Results are bit-identical to a fresh
+// Sweep and to Scenario.Run.
 //
 // Like platform.Pool, a Sweeper cannot distinguish policy constructors: use
 // one Sweeper per policy family (the pools would otherwise hand a platform
@@ -250,6 +253,15 @@ type sweepJob struct {
 // results are independent of the worker count and of scheduling order.
 func (job *sweepJob) run(pool *platform.Pool) {
 	pl := pool.Acquire(job.spec, job.factory)
+	if pl.Layer != nil {
+		// A sweep reads only I/O times, never the decision log, so the
+		// worker arbitrates the way the daemon does: the allocation-free
+		// indexed policy path (same decisions, constant reasons) and no
+		// log.
+		arb := pl.Layer.Arbiter()
+		arb.SetIndexed(true)
+		arb.SetLogBound(0)
+	}
 	var starts [2]float64
 	n := len(job.dts)
 	s := job.s
@@ -326,9 +338,10 @@ func grow(v []float64, n int) []float64 {
 
 // SweepInto is Sweep writing into a caller-owned Series, reusing its slice
 // backing: a harness that sweeps in a loop with one Series allocates
-// nothing at all after the first call — the persistent workers (at most one
-// per OS thread) are woken through their feed channels with a pointer to
-// the Sweeper's reused job context, pull points off a shared counter, and
+// nothing per sweep after the first call, bar the coordination layer's
+// few per point (see Sweeper) — the persistent workers (at most one per OS
+// thread) are woken through their feed channels with a pointer to the
+// Sweeper's reused job context, pull points off a shared counter, and
 // re-arm their pooled platforms per point. Every point is its own
 // deterministic run, so results are independent of the worker count and of
 // scheduling order.

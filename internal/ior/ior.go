@@ -228,8 +228,9 @@ func (s *Stats) TotalBytes() int64 {
 // Runner executes a workload for one application. A Runner is reusable: the
 // workload is armed (defaults folded in) once at construction, and Reset
 // clears only the per-run statistics, keeping the armed workload, the
-// cached file names and the stats backing array, so re-running a scenario
-// on a reused platform allocates nothing in steady state.
+// cached file names and phase info and the stats backing array, so
+// re-running a scenario on a reused platform allocates nothing in steady
+// state.
 type Runner struct {
 	App     *mpi.App
 	W       Workload
@@ -244,6 +245,10 @@ type Runner struct {
 	// fileNames caches the formatted file name per (phase, file) index so
 	// repeated runs of a reused runner format no strings.
 	fileNames []string
+
+	// info caches the phase's Prepare info (identical for every phase of
+	// the armed workload); the coordinator copies it on Prepare.
+	info core.Info
 
 	// runFn is r.Run bound once, so starting the runner does not allocate
 	// a method-value closure per run.
@@ -274,6 +279,14 @@ func (r *Runner) fileName(phase, f int) string {
 		r.fileNames[idx] = fmt.Sprintf("%s.p%d.f%d", r.App.Name, phase, f)
 	}
 	return r.fileNames[idx]
+}
+
+// phaseInfo returns the cached Prepare info for a phase.
+func (r *Runner) phaseInfo() core.Info {
+	if r.info == nil {
+		r.info = Info(r.App, r.W)
+	}
+	return r.info
 }
 
 // Start launches the workload as a process at absolute time t and returns
@@ -329,9 +342,8 @@ func (r *Runner) runPhase(p *sim.Proc, phase int) {
 	// the paper measures the serialized application's write time.
 	ps := PhaseStat{Start: p.Now()}
 	if r.Session != nil {
-		info := Info(app, w)
 		t0 := p.Now()
-		r.Session.Begin(p, info)
+		r.Session.Begin(p, r.phaseInfo())
 		r.record(timeline.Wait, t0, p.Now())
 	}
 	var bytesDone int64

@@ -171,15 +171,36 @@ func TestPoolOwnsSpec(t *testing.T) {
 // of a scenario on a reused platform allocates nothing, under both the
 // default (fluid) and the explicit-fabric contention model. This is the
 // per-point cost of a ∆-sweep after its first point.
+//
+// A coordinated FCFS platform, with its arbiter set up the way
+// delta.Sweeper workers set theirs up (indexed policy path, no decision
+// log), stays within maxCoordAllocs per run: each Wait that parks still
+// allocates its sim.Resumer and the Resume method value its grant
+// message carries.
 func TestSteadyStateRunAllocFree(t *testing.T) {
+	const maxCoordAllocs = 8
 	for _, trueNet := range []bool{false, true} {
-		pl := NewPool().Acquire(testSpec(trueNet), nil)
-		starts := []float64{0, 1}
-		pl.Run(starts, nil) // first run pays the pools
-		pl.Run(starts, nil)
-		allocs := testing.AllocsPerRun(50, func() { pl.Run(starts, nil) })
-		if allocs != 0 {
-			t.Fatalf("trueNet=%v: steady-state run allocates %.1f objects, want 0", trueNet, allocs)
+		for _, coordinated := range []bool{false, true} {
+			var policy func(*core.PerfModel) core.Policy
+			if coordinated {
+				policy = fcfs
+			}
+			pl := NewPool().Acquire(testSpec(trueNet), policy)
+			if pl.Layer != nil {
+				pl.Layer.Arbiter().SetIndexed(true)
+				pl.Layer.Arbiter().SetLogBound(0)
+			}
+			starts := []float64{0, 1}
+			pl.Run(starts, nil) // first run pays the pools
+			pl.Run(starts, nil)
+			allocs := testing.AllocsPerRun(50, func() { pl.Run(starts, nil) })
+			switch {
+			case !coordinated && allocs != 0:
+				t.Fatalf("trueNet=%v: steady-state run allocates %.1f objects, want 0", trueNet, allocs)
+			case coordinated && allocs > maxCoordAllocs:
+				t.Fatalf("trueNet=%v: coordinated steady-state run allocates %.1f objects, want <= %d",
+					trueNet, allocs, maxCoordAllocs)
+			}
 		}
 	}
 }

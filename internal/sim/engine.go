@@ -142,6 +142,11 @@ func (e *Engine) Now() float64 { return e.now }
 // SetTracer installs a tracer for debugging; nil disables tracing.
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
+// Tracing reports whether a tracer is installed. Hot callers check it
+// before Tracef, whose variadic arguments are boxed even when tracing is
+// off.
+func (e *Engine) Tracing() bool { return e.tracer != nil }
+
 // Tracef emits a trace line if a tracer is installed.
 func (e *Engine) Tracef(format string, args ...any) {
 	if e.tracer != nil {
@@ -188,15 +193,22 @@ func (e *Engine) At(t float64, fn func()) *Event {
 	if t < e.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: scheduling in the past or at NaN: t=%v now=%v", t, e.now))
 	}
+	r := e.push(t, fn)
+	ev := &Event{time: t, rec: r}
+	r.handle = ev
+	return ev
+}
+
+// push queues fn at absolute time t on a pooled record, taking the next
+// sequence number.
+func (e *Engine) push(t float64, fn func()) *record {
 	r := e.newRecord()
 	r.time = t
 	r.seq = e.seq
 	r.fn = fn
 	e.seq++
-	ev := &Event{time: t, rec: r}
-	r.handle = ev
 	heap.Push(&e.events, r)
-	return ev
+	return r
 }
 
 // Post registers fn to run at the current time, after every already-queued
@@ -208,6 +220,18 @@ func (e *Engine) At(t float64, fn func()) *Event {
 func (e *Engine) Post(fn func()) {
 	e.zq = append(e.zq, zeroCall{seq: e.seq, fn: fn})
 	e.seq++
+}
+
+// PostAfter registers fn to run after delay seconds — exactly like
+// Schedule(delay, fn), consuming the same sequence number and so firing in
+// the same order, but with no cancellation handle: the record comes from
+// the free list and scheduling allocates nothing. It is the delayed sibling
+// of Post, for fire-and-forget callbacks such as message deliveries.
+func (e *Engine) PostAfter(delay float64, fn func()) {
+	if delay < 0 || math.IsNaN(delay) {
+		panic(fmt.Sprintf("sim: negative or NaN delay %v", delay))
+	}
+	e.push(e.now+delay, fn)
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or cancelled

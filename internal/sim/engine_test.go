@@ -666,3 +666,73 @@ func TestResetReusesRecords(t *testing.T) {
 		t.Fatalf("reset replay (%.1f allocs) not cheaper than fresh engine (%.1f)", reset, fresh)
 	}
 }
+
+// TestPostAfterMatchesSchedule: PostAfter interleaves with Schedule, Post
+// and Timer callbacks exactly as Schedule would, by the shared sequence
+// counter, at equal and distinct times.
+func TestPostAfterMatchesSchedule(t *testing.T) {
+	run := func(after func(e *Engine, d float64, fn func())) []int {
+		e := NewEngine()
+		var got []int
+		tm := e.NewTimer(func() { got = append(got, 4) })
+		after(e, 1, func() { got = append(got, 0) })
+		e.Schedule(1, func() { got = append(got, 1) })
+		tm.Schedule(1)
+		after(e, 0, func() { got = append(got, 2) })
+		e.Post(func() { got = append(got, 3) })
+		after(e, 1, func() {
+			got = append(got, 5)
+			after(e, 0, func() { got = append(got, 7) })
+			e.Post(func() { got = append(got, 8) })
+		})
+		after(e, 0.5, func() { got = append(got, 6) })
+		e.Run()
+		return got
+	}
+	want := run(func(e *Engine, d float64, fn func()) { e.Schedule(d, fn) })
+	got := run(func(e *Engine, d float64, fn func()) { e.PostAfter(d, fn) })
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("PostAfter order %v, Schedule order %v", got, want)
+	}
+}
+
+// TestPostAfterAllocFree: on a warm engine PostAfter takes its record from
+// the free list and allocates no handle.
+func TestPostAfterAllocFree(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	load := func() {
+		for i := 0; i < 64; i++ {
+			e.PostAfter(float64(i%7), fn)
+		}
+		e.Run()
+	}
+	load()
+	if allocs := testing.AllocsPerRun(10, func() { e.Reset(); load() }); allocs != 0 {
+		t.Fatalf("warm PostAfter allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+func TestPostAfterNegativeDelayPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewEngine().PostAfter(-1, func() {})
+}
+
+func TestTracing(t *testing.T) {
+	e := NewEngine()
+	if e.Tracing() {
+		t.Fatal("new engine reports a tracer")
+	}
+	e.SetTracer(TracerFunc(func(float64, string, ...any) {}))
+	if !e.Tracing() {
+		t.Fatal("installed tracer not reported")
+	}
+	e.SetTracer(nil)
+	if e.Tracing() {
+		t.Fatal("removed tracer still reported")
+	}
+}
