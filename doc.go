@@ -111,7 +111,10 @@
 // table). Per-connection machinery rides along: reused read/write
 // buffers, write coalescing (one syscall per flush when the response
 // queue drains), -accept-loops listener sharding and -sock-buffer kernel
-// socket buffer tuning.
+// socket buffer tuning. A response the codec cannot encode — a stats
+// snapshot past wire.MaxFrame — is answered with a "protocol" error under
+// the request's seq instead; a request the client cannot encode fails at
+// the caller and is never retried.
 //
 // Version 3 is the mux extension of the binary codec: one physical
 // connection carries many logical sessions, each identified by a stream
@@ -136,7 +139,13 @@
 // writer and flushes once, so K concurrent grant cycles cost ~1 write
 // syscall instead of K (client-side writes batch the same way). The v1
 // and v2 protocols are untouched: a client that negotiates 2 or nothing
-// gets the previous framing byte for byte. client.DialMux is the client
+// gets the previous framing byte for byte. Both sides run one connection
+// stack for all three framings: a v1 or v2 connection is a one-stream
+// link whose implicit stream is its session (dropping it closes the
+// connection, and its one stream flushes every frame at once), while a v3
+// connection's streams come and go on a connection that stays up.
+// TestWireTranscripts pins both directions of every framing, cut and
+// resume included, against goldens. client.DialMux is the client
 // half (Mux.Client hands out logical *Client streams sharing one socket),
 // calciom-load -mux-conns M drives a whole fleet over M sockets, and
 // BenchmarkSocketGrantsMux / BenchmarkSocketGrants10k measure it (see
@@ -466,8 +475,10 @@
 // fault-tolerance counters (calciomd_self_grants_total,
 // calciomd_degraded_seconds_total, calciomd_resumes_total), the connection
 // layer counts negotiated codecs (calciomd_connections_total, labels codec
-// and mux), tracks live multiplexed streams (calciomd_mux_streams) and the
-// group-commit batch-size distribution (calciomd_mux_batch_frames), and
+// and mux), tracks the live streams of mux connections
+// (calciomd_mux_streams) and their group-commit batch-size distribution
+// (calciomd_mux_batch_frames; plain connections' one-stream flushes are
+// not observed), and
 // counts raw wire traffic beneath the codec buffers
 // (calciomd_bytes_in_total, calciomd_bytes_out_total), and scrape time
 // adds the stats-merge view: calciomd_sessions, calciomd_cpu_seconds_wasted

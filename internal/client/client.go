@@ -14,6 +14,12 @@
 // handle; the internal reader goroutine that dispatches responses and
 // per-target authorization pushes is fully encapsulated.
 //
+// Every Client is one stream of a connection (see Mux): DialOptions gives
+// it a private connection carrying that one stream over the v1 JSON or v2
+// binary framing, and DialMux shares one connection across many streams
+// over the v3 mux framing. Dial, negotiation, the read loop, the write
+// path and reconnect/resume are the same code either way.
+//
 // # Fault tolerance
 //
 // A Client dialed with Options.Reconnect survives its coordinator: a lost
@@ -39,13 +45,8 @@
 package client
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
-	"fmt"
-	"io"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,50 +165,38 @@ type Options struct {
 // at rebind) and to keep coordinating locally in degraded mode. Owned by
 // the goroutine driving that target's handle, like the handle itself.
 type tjournal struct {
-	epoch     uint64      // connection epoch this target last synced at
+	live      uint64      // connection generation this target last synced on
 	prepared  []core.Info // the prepare stack, oldest first
 	phaseOpen bool        // Inform succeeded since the last End
 	holding   bool        // Wait succeeded since the last End
 }
 
-// Client is one application's connection to the coordination daemon.
+// Client is one application's session with the coordination daemon: one
+// stream of a Mux, either shared (Mux.Client) or private (DialOptions).
 type Client struct {
-	addr string
 	opts Options
 
-	// cmu guards the connection state machine: the current connection and
-	// its generation, healthy/degraded/terminal mode, and the stateCh pulse
-	// callers park on while the connection is down.
-	cmu        sync.Mutex
-	conn       net.Conn
-	gen        uint64
-	healthy    bool
-	degraded   bool
-	termErr    error
-	closed     bool
-	stateCh    chan struct{} // non-nil while down/degraded; closed on any mode change
-	recovering bool          // a recoverLoop goroutine is running
+	// mx is the connection this session rides and stream its id there;
+	// writes go through mx and its read loop dispatches responses by
+	// stream id.
+	mx     *Mux
+	stream uint64
 
-	// codec is the negotiated wire format, resolved once at dial (nil
-	// Options.Codec means wire.JSON) and immutable afterwards.
-	codec wire.Codec
-
-	wmu sync.Mutex
-	bw  *bufio.Writer
-	enc wire.RequestWriter // encodes into bw; rebuilt with it at adopt
+	// cmu guards the stream's state machine: healthy/degraded/terminal
+	// mode, and the stateCh pulse callers park on while it is down. live is
+	// the connection generation a healthy stream is up on, 0 while down.
+	cmu      sync.Mutex
+	live     uint64
+	degraded bool
+	termErr  error
+	closed   bool
+	stateCh  chan struct{} // non-nil while down/degraded; closed on any mode change
 
 	seq atomic.Uint64
 
 	mu      sync.Mutex
 	pending map[uint64]*pendingCall
 	err     error // terminal receive error; set once (fail-fast mode)
-
-	// mx/stream are set on clients created by Mux.Client: the shared
-	// physical connection this logical session rides and its stream id.
-	// Such a client never owns conn/bw/enc — writes go through mx and the
-	// mux read loop dispatches responses by stream id.
-	mx     *Mux
-	stream uint64
 
 	// auth caches the server's per-target view, updated by responses and by
 	// pushed grant/revoke notifications (the server echoes the resolved
@@ -229,9 +218,8 @@ type Client struct {
 	registered  bool
 	incarnation uint64
 
-	// epoch counts adopted connections; a journal whose epoch lags must
-	// resync before its target's next call.
-	epoch   atomic.Uint64
+	// A journal synced on an older connection generation than the stream is
+	// live on must resync before its target's next call.
 	jmu     sync.Mutex
 	journal map[string]*tjournal
 
@@ -267,38 +255,16 @@ func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
 // positive — the client starts disconnected, recovering in the background,
 // and fails open on schedule; with FailOpen zero the initial dial must
 // succeed.
+//
+// The client is the single stream of a private connection: the same
+// machinery DialMux shares across many sessions, carrying one implicit
+// stream over the v1 JSON or v2 binary framing. Close closes it.
 func DialOptions(addr string, opts Options) (*Client, error) {
-	if opts.BackoffMin <= 0 {
-		opts.BackoffMin = DefaultBackoffMin
-	}
-	if opts.BackoffMax < opts.BackoffMin {
-		opts.BackoffMax = DefaultBackoffMax
-	}
-	c := &Client{
-		addr:    addr,
-		opts:    opts,
-		codec:   opts.Codec,
-		pending: make(map[uint64]*pendingCall),
-		auth:    make(map[string]bool),
-		journal: make(map[string]*tjournal),
-		done:    make(chan struct{}),
-	}
-	if c.codec == nil {
-		c.codec = wire.JSON
-	}
-	conn, err := net.Dial("tcp", addr)
+	m, err := connect(addr, opts, false)
 	if err != nil {
-		if !opts.Reconnect || opts.FailOpen <= 0 {
-			return nil, err
-		}
-		// Start down: recoverLoop owns the dial, fail-open owns the bound.
-		c.stateCh = make(chan struct{})
-		c.recovering = true
-		go c.recoverLoop()
-		return c, nil
+		return nil, err
 	}
-	c.adopt(conn, false)
-	return c, nil
+	return m.Client()
 }
 
 // CaptureTo attaches a client-side trace recorder: every successful
@@ -330,9 +296,12 @@ func (c *Client) tnow() float64 {
 	return c.tclock()
 }
 
-// Close tears the client down; outstanding calls fail with ErrClosed. With
-// a capture attached, one unregister is recorded for the whole session —
-// replay propagates it to every target the session coordinated on.
+// Close tears the client down; outstanding calls fail with ErrClosed. A
+// client from DialOptions closes its connection; a Mux.Client stream just
+// leaves the shared one, so the daemon's idle eviction (or the mux
+// closing) reclaims the server-side session. With a capture attached, one
+// unregister is recorded for the whole session — replay propagates it to
+// every target the session coordinated on.
 func (c *Client) Close() error {
 	if c.tw != nil && c.traceReg.CompareAndSwap(true, false) {
 		c.rec(trace.Event{Type: trace.EvUnregister, Time: c.tnow(), Target: c.defTarget})
@@ -343,93 +312,20 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	conn := c.conn
 	if c.stateCh != nil {
 		close(c.stateCh)
 		c.stateCh = nil
 	}
 	c.cmu.Unlock()
 	c.finish()
-	if c.mx != nil {
-		// A mux client owns no connection: leave the shared one alone and
-		// just remove the stream, so the daemon's idle eviction (or the mux
-		// closing) reclaims the server-side session.
-		c.mx.detach(c.stream)
-	}
+	c.mx.detach(c)
 	c.failPending(false, ErrClosed)
-	if conn != nil {
-		conn.Close()
-	}
 	return nil
-}
-
-// adopt installs a (re)established connection and wakes blocked callers.
-// negotiated reports whether codec negotiation already happened on the
-// connection (the resume handshake does it before adopt); when it has not
-// and the codec is binary, the two-byte hello is buffered here — flushed
-// with the first request, so negotiation costs no round trip — and the read
-// loop strips the daemon's ack before the first frame.
-func (c *Client) adopt(conn net.Conn, negotiated bool) {
-	c.cmu.Lock()
-	c.conn = conn
-	c.gen++
-	gen := c.gen
-	c.healthy = true
-	c.recovering = false
-	if c.degraded {
-		c.degraded = false
-		c.endWindow()
-	}
-	st := c.stateCh
-	c.stateCh = nil
-	c.cmu.Unlock()
-	c.epoch.Add(1)
-	expectAck := !negotiated && c.codec.Name() != "json"
-	c.wmu.Lock()
-	c.bw = bufio.NewWriter(conn)
-	if expectAck {
-		c.bw.Write([]byte{wire.HelloMagic, wire.VersionBinary})
-	}
-	c.enc = c.codec.NewRequestWriter(c.bw)
-	c.wmu.Unlock()
-	go c.readLoop(conn, gen, expectAck)
-	if st != nil {
-		close(st)
-	}
-}
-
-// readLoop dispatches responses to their waiting callers and folds
-// unsolicited grant/revoke pushes into the cached authorization state. One
-// runs per adopted connection; on exit it reports the loss.
-func (c *Client) readLoop(conn net.Conn, gen uint64, expectAck bool) {
-	br := bufio.NewReader(conn)
-	var err error
-	if expectAck {
-		var ack [2]byte
-		if _, err = io.ReadFull(br, ack[:]); err == nil &&
-			(ack[0] != wire.HelloMagic || ack[1] != wire.VersionBinary) {
-			err = fmt.Errorf("client: bad codec negotiation ack %x", ack)
-		}
-		if err != nil {
-			c.connLost(gen, err)
-			return
-		}
-	}
-	dec := c.codec.NewResponseReader(br)
-	for {
-		var resp wire.Response
-		if err = dec.Read(&resp); err != nil {
-			break
-		}
-		c.dispatch(&resp)
-	}
-	c.connLost(gen, err)
 }
 
 // dispatch folds one received response into the client: pushes update the
 // cached authorization, replies complete their pending call. Called from the
-// single reader of whichever connection serves this client — its own read
-// loop, or the shared mux read loop.
+// single reader of the connection this client's stream rides.
 func (c *Client) dispatch(resp *wire.Response) {
 	switch resp.Type {
 	case wire.TypeGrant:
@@ -458,159 +354,6 @@ func (c *Client) dispatch(resp *wire.Response) {
 	}
 }
 
-// connLost handles the death of the connection generation gen: parked calls
-// are failed (they retry through the recovery path), and either the
-// recovery goroutine starts (Reconnect) or the client dies (fail-fast).
-func (c *Client) connLost(gen uint64, cause error) {
-	c.cmu.Lock()
-	if c.closed || gen != c.gen || !c.healthy {
-		c.cmu.Unlock()
-		return
-	}
-	c.healthy = false
-	c.conn.Close()
-	reconnect := c.opts.Reconnect
-	if reconnect {
-		c.stateCh = make(chan struct{})
-		c.recovering = true
-	} else {
-		c.termErr = fmt.Errorf("client: connection lost: %w", cause)
-	}
-	c.cmu.Unlock()
-
-	c.failPending(reconnect, fmt.Errorf("client: connection lost: %w", cause))
-	if reconnect {
-		go c.recoverLoop()
-	} else {
-		c.finish()
-	}
-}
-
-// recoverLoop redials with exponential backoff plus jitter until a
-// connection is adopted, the client closes, or a resume is fatally
-// rejected. When FailOpen is set and the deadline passes, the client enters
-// degraded mode (callers self-serve) while the loop keeps trying.
-func (c *Client) recoverLoop() {
-	backoff := c.opts.BackoffMin
-	var failAt time.Time
-	if c.opts.FailOpen > 0 {
-		failAt = time.Now().Add(c.opts.FailOpen)
-	}
-	for {
-		c.cmu.Lock()
-		if c.closed {
-			c.cmu.Unlock()
-			return
-		}
-		degraded := c.degraded
-		c.cmu.Unlock()
-		if !degraded && !failAt.IsZero() && time.Now().After(failAt) {
-			c.enterDegraded()
-		}
-		conn, err := net.DialTimeout("tcp", c.addr, time.Second)
-		if err == nil {
-			ferr, fatal := c.handshake(conn)
-			if ferr == nil {
-				c.adopt(conn, true)
-				return
-			}
-			conn.Close()
-			if fatal {
-				c.terminal(ferr)
-				return
-			}
-		}
-		d := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
-		select {
-		case <-time.After(d):
-		case <-c.done:
-			return
-		}
-		if backoff *= 2; backoff > c.opts.BackoffMax {
-			backoff = c.opts.BackoffMax
-		}
-	}
-}
-
-// handshake re-registers on a fresh connection before it is adopted: the
-// resume carries the same name, the next incarnation, and the accumulated
-// degraded report, pipelined behind the codec hello when the codec is
-// binary (so adopt never re-negotiates a handshaken connection). A client
-// that never registered resumes nothing but still negotiates the codec.
-// Returns (nil, _) on success; fatal reports an unrecoverable rejection
-// (another incarnation won the name).
-func (c *Client) handshake(conn net.Conn) (error, bool) {
-	binary := c.codec.Name() != "json"
-	c.regMu.Lock()
-	registered := c.registered
-	var req wire.Request
-	if registered {
-		c.incarnation++
-		req = wire.Request{
-			Seq:         c.seq.Add(1),
-			Type:        wire.TypeRegister,
-			App:         c.regName,
-			Cores:       c.regCores,
-			Target:      c.defTarget,
-			Incarnation: c.incarnation,
-		}
-	}
-	c.regMu.Unlock()
-	if !registered && !binary {
-		return nil, false
-	}
-	var reportSelf uint64
-	var reportDeg float64
-	var hs bytes.Buffer
-	if binary {
-		hs.Write([]byte{wire.HelloMagic, wire.VersionBinary})
-	}
-	if registered {
-		reportSelf, reportDeg = c.snapshotReport()
-		req.SelfGrants = reportSelf
-		req.DegradedS = reportDeg
-		if err := c.codec.NewRequestWriter(&hs).Write(&req); err != nil {
-			return err, false
-		}
-	}
-
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	defer conn.SetDeadline(time.Time{})
-	if _, err := conn.Write(hs.Bytes()); err != nil {
-		return err, false
-	}
-	if binary {
-		var ack [2]byte
-		if _, err := io.ReadFull(conn, ack[:]); err != nil {
-			return err, false
-		}
-		if ack[0] != wire.HelloMagic || ack[1] != wire.VersionBinary {
-			return fmt.Errorf("client: bad codec negotiation ack %x", ack), false
-		}
-	}
-	if !registered {
-		return nil, false
-	}
-	// Reading on the raw connection (no buffering) cannot over-read past
-	// the register answer, so the reader the adopted connection builds
-	// later sees a clean frame boundary.
-	dec := c.codec.NewResponseReader(conn)
-	for {
-		var resp wire.Response
-		if err := dec.Read(&resp); err != nil {
-			return err, false
-		}
-		if resp.Type != wire.TypeResp || resp.Seq != req.Seq {
-			continue // a stale push; the register answer is still coming
-		}
-		if resp.Err != "" {
-			return &ReplyError{Code: resp.Code, Msg: resp.Err}, !wire.Retryable(resp.Code)
-		}
-		c.markReported(reportSelf, reportDeg)
-		return nil, false
-	}
-}
-
 // terminal kills the client: recovery is impossible (the name was taken by
 // a newer incarnation, or an equally unrecoverable rejection).
 func (c *Client) terminal(err error) {
@@ -620,7 +363,6 @@ func (c *Client) terminal(err error) {
 		return
 	}
 	c.termErr = err
-	c.recovering = false
 	st := c.stateCh
 	c.stateCh = nil
 	c.cmu.Unlock()
@@ -630,10 +372,10 @@ func (c *Client) terminal(err error) {
 }
 
 // enterDegraded flips the client into fail-open mode: coordination verbs
-// self-serve from here until a connection is adopted.
+// self-serve from here until the stream resumes.
 func (c *Client) enterDegraded() {
 	c.cmu.Lock()
-	if c.closed || c.degraded || c.healthy {
+	if c.closed || c.degraded || c.live != 0 {
 		c.cmu.Unlock()
 		return
 	}
@@ -720,7 +462,7 @@ func (c *Client) DegradedReport() DegradedReport {
 	return r
 }
 
-// mode reads the connection state machine for the retry loop.
+// mode is the stream's state, as the retry loops see it.
 type mode int
 
 const (
@@ -731,20 +473,24 @@ const (
 	modeClosed
 )
 
-func (c *Client) mode() (mode, chan struct{}, error) {
+// mode reads the stream's state machine for the retry loops. A healthy
+// stream also reports the connection generation it is live on, which the
+// caller's requests are bound to (see Mux.send); a down one, the pulse its
+// callers park on.
+func (c *Client) mode() (mode, uint64, chan struct{}, error) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
 	switch {
 	case c.closed:
-		return modeClosed, nil, ErrClosed
+		return modeClosed, 0, nil, ErrClosed
 	case c.termErr != nil:
-		return modeTerminal, nil, c.termErr
+		return modeTerminal, 0, nil, c.termErr
 	case c.degraded:
-		return modeDegraded, nil, nil
-	case c.healthy:
-		return modeHealthy, nil, nil
+		return modeDegraded, 0, nil, nil
+	case c.live != 0:
+		return modeHealthy, c.live, nil, nil
 	default:
-		return modeDown, c.stateCh, nil
+		return modeDown, 0, c.stateCh, nil
 	}
 }
 
@@ -752,7 +498,7 @@ func (c *Client) mode() (mode, chan struct{}, error) {
 // mode that ended the wait.
 func (c *Client) await() (mode, error) {
 	for {
-		m, st, err := c.mode()
+		m, _, st, err := c.mode()
 		if m != modeDown {
 			return m, err
 		}
@@ -767,12 +513,15 @@ func (c *Client) await() (mode, error) {
 	}
 }
 
-// rawCall performs one blocking request/response round trip on the current
-// connection. Responses may be served out of order by the daemon (Wait is
+// rawCall performs one blocking request/response round trip on connection
+// generation live; if that connection is gone it fails as a transport
+// error rather than reach a later connection the caller has not synced
+// with. Responses may be served out of order by the daemon (Wait is
 // answered only at grant time), so each call parks on its own channel keyed
 // by Seq. Failures are typed: *transportError is retryable after recovery,
-// *ReplyError is the daemon's answer.
-func (c *Client) rawCall(req wire.Request) (wire.Response, error) {
+// *ReplyError is the daemon's answer, and anything else (an unencodable
+// request) is final.
+func (c *Client) rawCall(live uint64, req wire.Request) (wire.Response, error) {
 	req.Seq = c.seq.Add(1)
 	pc := callPool.Get().(*pendingCall)
 	c.mu.Lock()
@@ -785,21 +534,7 @@ func (c *Client) rawCall(req wire.Request) (wire.Response, error) {
 	c.pending[req.Seq] = pc
 	c.mu.Unlock()
 
-	var err error
-	if c.mx != nil {
-		err = c.mx.send(c.stream, &req)
-	} else {
-		c.wmu.Lock()
-		if c.enc == nil {
-			err = errors.New("not connected")
-		} else {
-			if err = c.enc.Write(&req); err == nil {
-				err = c.bw.Flush()
-			}
-		}
-		c.wmu.Unlock()
-	}
-	if err != nil {
+	if err := c.mx.send(live, c.stream, &req); err != nil {
 		// Reclaim the entry — unless a concurrent connection-loss sweep (or
 		// a response racing the send failure) already took it, in which case
 		// a completion is in flight and must be drained before reuse.
@@ -813,7 +548,7 @@ func (c *Client) rawCall(req wire.Request) (wire.Response, error) {
 			<-pc.ch
 		}
 		callPool.Put(pc)
-		return wire.Response{}, &transportError{fmt.Errorf("client: send: %w", err)}
+		return wire.Response{}, err
 	}
 
 	comp := <-pc.ch
@@ -840,7 +575,7 @@ func (c *Client) rawCall(req wire.Request) (wire.Response, error) {
 func (c *Client) call(req wire.Request) (wire.Response, error) {
 	overload := 0
 	for {
-		m, _, err := c.mode()
+		m, live, _, err := c.mode()
 		switch m {
 		case modeClosed, modeTerminal:
 			return wire.Response{}, err
@@ -852,7 +587,7 @@ func (c *Client) call(req wire.Request) (wire.Response, error) {
 			}
 			continue
 		}
-		resp, err := c.rawCall(req)
+		resp, err := c.rawCall(live, req)
 		if err == nil {
 			return resp, nil
 		}
@@ -883,7 +618,7 @@ func (c *Client) call(req wire.Request) (wire.Response, error) {
 // when the client closed mid-backoff and the caller must give up.
 func (c *Client) retryReply(code string, attempt int) int {
 	if code == wire.CodeDraining {
-		c.kickReconnect()
+		c.mx.kick()
 		return attempt
 	}
 	d := c.opts.BackoffMin << min(attempt, 16)
@@ -897,23 +632,6 @@ func (c *Client) retryReply(code string, attempt int) int {
 	case <-c.done:
 		return -1
 	}
-}
-
-// kickReconnect force-cycles the current connection (the daemon said it is
-// draining): closing it makes the read loop exit into the recovery path.
-func (c *Client) kickReconnect() {
-	if c.mx != nil {
-		c.mx.kick()
-		return
-	}
-	c.cmu.Lock()
-	if c.healthy && c.conn != nil {
-		c.conn.Close()
-	}
-	c.cmu.Unlock()
-	// Give the read loop a moment to observe the close; await handles the
-	// rest once connLost has run.
-	time.Sleep(time.Millisecond)
 }
 
 func (c *Client) setAuth(target string, v bool) {
@@ -933,7 +651,11 @@ func (c *Client) journalFor(target string) *tjournal {
 	defer c.jmu.Unlock()
 	j := c.journal[target]
 	if j == nil {
-		j = &tjournal{epoch: c.epoch.Load()}
+		// A fresh journal has nothing to re-drive: synced wherever the
+		// stream is now.
+		c.cmu.Lock()
+		j = &tjournal{live: c.live}
+		c.cmu.Unlock()
 		c.journal[target] = j
 	}
 	return j
@@ -943,7 +665,7 @@ func (c *Client) journalFor(target string) *tjournal {
 // reset the session's protocol state at rebind, so the stacked prepares,
 // the open phase, and — when the client held authorization — a blocking
 // re-acquiring Wait are re-issued before the interrupted call retries.
-func (c *Client) ensureSynced(t Target) error {
+func (c *Client) ensureSynced(t Target, live uint64) error {
 	if !c.opts.Reconnect {
 		return nil
 	}
@@ -954,14 +676,13 @@ func (c *Client) ensureSynced(t Target) error {
 		return nil
 	}
 	j := c.journalFor(t.resolved())
-	cur := c.epoch.Load()
-	if j.epoch == cur {
+	if j.live == live {
 		return nil
 	}
-	j.epoch = cur
+	j.live = live
 	redrive := func(req wire.Request) error {
-		if _, err := c.rawCall(req); err != nil {
-			j.epoch = 0 // resync again after the next recovery
+		if _, err := c.rawCall(live, req); err != nil {
+			j.live = 0 // resync again after the next recovery
 			return err
 		}
 		return nil
@@ -1041,7 +762,7 @@ func (t Target) invoke(req wire.Request) (wire.Response, error) {
 	c := t.c
 	overload := 0
 	for {
-		m, _, err := c.mode()
+		m, live, _, err := c.mode()
 		switch m {
 		case modeClosed, modeTerminal:
 			return wire.Response{}, err
@@ -1053,13 +774,13 @@ func (t Target) invoke(req wire.Request) (wire.Response, error) {
 			}
 			continue
 		}
-		if err := c.ensureSynced(t); err != nil {
+		if err := c.ensureSynced(t, live); err != nil {
 			if isTransport(err) && c.opts.Reconnect {
 				continue
 			}
 			return wire.Response{}, err
 		}
-		resp, err := c.rawCall(req)
+		resp, err := c.rawCall(live, req)
 		if err == nil {
 			c.journalFor(t.resolved()).note(req.Type, core.Info(req.Info))
 			return resp, nil
@@ -1138,7 +859,7 @@ func (c *Client) RegisterOn(name string, cores int, target string) error {
 	}
 	overload := 0
 	for {
-		m, _, err := c.mode()
+		m, live, _, err := c.mode()
 		switch m {
 		case modeClosed, modeTerminal:
 			return err
@@ -1161,7 +882,7 @@ func (c *Client) RegisterOn(name string, cores int, target string) error {
 			c.regMu.Unlock()
 			req.SelfGrants, req.DegradedS = c.snapshotReport()
 		}
-		_, err = c.rawCall(req)
+		_, err = c.rawCall(live, req)
 		if err == nil {
 			if c.opts.Reconnect {
 				c.markReported(req.SelfGrants, req.DegradedS)

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/wirebin"
 )
 
 // The happy paths are exercised end-to-end by internal/server's integration
@@ -74,5 +76,61 @@ func TestConnectionLossFailsPendingCalls(t *testing.T) {
 	}
 	if b.Authorized() {
 		t.Fatal("dead client still reports authorization")
+	}
+}
+
+// TestOversizedRequestFails: a request past wire.MaxFrame cannot be
+// encoded, so no reconnect can send it. With Options.Reconnect on, every
+// framing must return the encode failure to the caller — not retry it as a
+// transport error forever — and the session must keep working.
+func TestOversizedRequestFails(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	huge := core.Info{"blob": strings.Repeat("x", 2<<20)}
+	opts := client.Options{Reconnect: true}
+	dial := map[string]func() (*client.Client, func(), error){
+		"json": func() (*client.Client, func(), error) {
+			c, err := client.DialOptions(addr, opts)
+			return c, func() { c.Close() }, err
+		},
+		"binary": func() (*client.Client, func(), error) {
+			o := opts
+			o.Codec = wirebin.Codec{}
+			c, err := client.DialOptions(addr, o)
+			return c, func() { c.Close() }, err
+		},
+		"mux": func() (*client.Client, func(), error) {
+			m, err := client.DialMux(addr, opts)
+			if err != nil {
+				return nil, nil, err
+			}
+			c, err := m.Client()
+			return c, func() { m.Close() }, err
+		},
+	}
+	for _, name := range []string{"json", "binary", "mux"} {
+		t.Run(name, func(t *testing.T) {
+			c, closeFn, err := dial[name]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeFn()
+			if err := c.Register("big-"+name, 1); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- c.Prepare(huge) }()
+			select {
+			case err := <-done:
+				var re *client.ReplyError
+				if err == nil || errors.As(err, &re) {
+					t.Fatalf("oversized prepare: err=%v, want the local encode failure", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("oversized prepare never returned")
+			}
+			if err := c.Prepare(info(1)); err != nil {
+				t.Fatalf("session unusable after the encode failure: %v", err)
+			}
+		})
 	}
 }

@@ -290,11 +290,16 @@ func TestFailOpenSelfGrants(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
+	// The histogram observes the degraded window when the client leaves
+	// degraded mode, which is after the daemon has already counted the
+	// resume register in its stats.
+	windows := obs.NewHistogram(obs.DefaultLatencyBuckets)
 	c, err := client.DialOptions(addr, client.Options{
-		Reconnect:  true,
-		FailOpen:   60 * time.Millisecond,
-		BackoffMin: 10 * time.Millisecond,
-		BackoffMax: 50 * time.Millisecond,
+		Reconnect:    true,
+		FailOpen:     60 * time.Millisecond,
+		BackoffMin:   10 * time.Millisecond,
+		BackoffMax:   50 * time.Millisecond,
+		DegradedHist: windows,
 	})
 	if err != nil {
 		t.Fatalf("fail-open dial must not fail on a dead address: %v", err)
@@ -362,7 +367,14 @@ func TestFailOpenSelfGrants(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// And the resumed session coordinates normally again.
+	// And the resumed session coordinates normally again, once the client
+	// has closed its degraded window.
+	for windows.Snapshot().Count < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("client never left degraded mode after the resume")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := s.Begin(info(10)); err != nil {
 		t.Fatalf("post-resume begin: %v", err)
 	}

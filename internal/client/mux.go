@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -15,32 +16,42 @@ import (
 	"repro/internal/wirebin"
 )
 
-// muxWriteBufferBytes sizes the shared write buffer: larger than a single
-// client's because one flush carries requests for many streams.
+// muxWriteBufferBytes sizes a mux connection's buffers: larger than a plain
+// connection's 4KiB because one flush carries requests for many streams.
 const muxWriteBufferBytes = 32 << 10
 
-// Mux shares one physical daemon connection across many logical sessions
-// (protocol version wire.VersionBinaryMux). Each Client() handle is a full
-// Client — register, coordinate, reconnect/resume, fail open — but its
-// frames ride the shared connection under a stream id instead of a socket
-// of their own, so N sessions cost one descriptor, one reader goroutine,
-// and (through group-committed writes) ~1 write syscall per burst of
-// concurrent requests instead of N.
+// resumeTimeout bounds how long a recovery waits for the streams of a
+// fresh connection to resume before giving the connection up and
+// redialing, so a daemon that accepts but never answers cannot hold the
+// recovery (and fail-open) hostage.
+const resumeTimeout = 5 * time.Second
+
+// Mux is a daemon connection and the logical sessions (streams) riding it —
+// the client's one connection machinery. DialMux returns a Mux shared by
+// many sessions over the mux framing (protocol version
+// wire.VersionBinaryMux): each Client() handle is a full Client — register,
+// coordinate, reconnect/resume, fail open — but its frames ride the shared
+// connection under a stream id instead of a socket of their own, so N
+// sessions cost one descriptor, one reader goroutine, and (through
+// group-committed writes) ~1 write syscall per burst of concurrent
+// requests instead of N. DialOptions wraps a private Mux carrying one
+// implicit stream over the v1 JSON or v2 binary framing.
 //
-// Writes group-commit: concurrent senders append to the shared buffered
-// writer and only the last writer in a burst flushes, so the syscall is
-// amortized across every stream that had a request in flight. The daemon
-// batches its responses the same way on its shared write loop.
+// Writes group-commit on a mux connection: concurrent senders append to
+// the shared buffered writer and a flusher commits the burst with one
+// syscall. The daemon batches its responses the same way. A plain
+// connection's one stream flushes each request at once.
 //
 // Connection failure is shared by construction: when the physical
 // connection dies every stream's parked calls fail together, and (with
 // Options.Reconnect) one redial resumes every registered stream — each
-// re-registers under its own name with a bumped incarnation, exactly as a
-// plain client would, before its callers unpark. Options.FailOpen degrades
-// every stream together on schedule.
+// re-registers under its own name with a bumped incarnation before its
+// callers unpark. Options.FailOpen degrades every stream together on
+// schedule.
 type Mux struct {
 	addr string
-	opts Options
+	opts Options // Codec resolved: wirebin under the mux framing
+	mux  bool    // mux framing; otherwise one private implicit stream
 
 	// mu guards the connection state machine and the stream table.
 	mu         sync.Mutex
@@ -48,21 +59,27 @@ type Mux struct {
 	gen        uint64
 	healthy    bool
 	closed     bool
-	recovering bool
+	recovering bool  // a recoverLoop is running
 	dead       error // terminal: the connection is gone and reconnect is off
 	clients    map[uint64]*Client
 	nextStream uint64
 
-	// Group-commit write state: senders append frames to bw under wmu and
-	// nudge flushCh; the flusher goroutine runs once a sender parks for its
-	// response and flushes everything buffered in between with one syscall.
-	wmu     sync.Mutex
-	bw      *bufio.Writer
+	// Write state: senders encode frames into bw under wmu. Under the mux
+	// framing they then nudge flushCh, and the flusher goroutine — run once
+	// a sender parks for its response — flushes everything buffered in
+	// between with one syscall.
+	wmu  sync.Mutex
+	bw   *bufio.Writer // nil while down
+	wgen uint64        // the connection generation bw writes to
+	// Encode scratch: frames are encoded here, never onto the socket, so an
+	// unencodable request is told apart from a dead connection. The mux
+	// framing appends into scratch; a plain one runs enc into ebuf.
 	scratch []byte
+	ebuf    bytes.Buffer
+	enc     wire.RequestWriter
 	flushCh chan struct{}
 
-	done     chan struct{}
-	doneOnce sync.Once
+	done chan struct{} // closed by shut
 }
 
 // DialMux connects one multiplexed physical connection. The codec is the v2
@@ -70,32 +87,43 @@ type Mux struct {
 // with DialOptions, a failed initial dial is fatal unless both Reconnect
 // and FailOpen are set, in which case the mux starts down and recovers (or
 // degrades) in the background.
-func DialMux(addr string, opts Options) (*Mux, error) {
+func DialMux(addr string, opts Options) (*Mux, error) { return connect(addr, opts, true) }
+
+// connect builds a Mux and dials its first connection.
+func connect(addr string, opts Options, mux bool) (*Mux, error) {
 	if opts.BackoffMin <= 0 {
 		opts.BackoffMin = DefaultBackoffMin
 	}
 	if opts.BackoffMax < opts.BackoffMin {
 		opts.BackoffMax = DefaultBackoffMax
 	}
-	opts.Codec = wirebin.Codec{}
+	if mux {
+		opts.Codec = wirebin.Codec{}
+	} else if opts.Codec == nil {
+		opts.Codec = wire.JSON
+	}
 	m := &Mux{
 		addr:    addr,
 		opts:    opts,
+		mux:     mux,
 		clients: make(map[uint64]*Client),
 		flushCh: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	go m.flusher()
+	m.enc = opts.Codec.NewRequestWriter(&m.ebuf)
 	conn, err := m.dial()
+	if err != nil && (!opts.Reconnect || opts.FailOpen <= 0) {
+		return nil, err
+	}
+	if mux {
+		go m.flusher()
+	}
 	if err != nil {
-		if !opts.Reconnect || opts.FailOpen <= 0 {
-			return nil, err
-		}
 		m.recovering = true
 		go m.recoverLoop()
-		return m, nil
+	} else {
+		m.adopt(conn)
 	}
-	m.adopt(conn)
 	return m, nil
 }
 
@@ -111,9 +139,7 @@ func (m *Mux) Client() (*Client, error) {
 	}
 	m.nextStream++
 	c := &Client{
-		addr:    m.addr,
 		opts:    m.opts,
-		codec:   m.opts.Codec,
 		mx:      m,
 		stream:  m.nextStream,
 		pending: make(map[uint64]*pendingCall),
@@ -121,13 +147,13 @@ func (m *Mux) Client() (*Client, error) {
 		journal: make(map[string]*tjournal),
 		done:    make(chan struct{}),
 	}
-	if m.dead != nil {
+	switch {
+	case m.dead != nil:
 		c.termErr = m.dead
-	} else if m.healthy {
-		c.healthy = true
-	} else {
+	case m.healthy:
+		c.live = m.gen
+	default:
 		c.stateCh = make(chan struct{})
-		c.recovering = true
 	}
 	m.clients[c.stream] = c
 	return c, nil
@@ -136,6 +162,15 @@ func (m *Mux) Client() (*Client, error) {
 // Close tears the mux down: the shared connection closes and every stream's
 // client closes with it.
 func (m *Mux) Close() error {
+	for _, c := range m.shut() {
+		c.Close()
+	}
+	return nil
+}
+
+// shut closes the connection for good and stops recovery, returning the
+// clients still attached. Idempotent.
+func (m *Mux) shut() []*Client {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -143,36 +178,44 @@ func (m *Mux) Close() error {
 	}
 	m.closed = true
 	conn := m.conn
+	clients := m.streams()
+	m.mu.Unlock()
+	close(m.done)
+	if conn != nil {
+		conn.Close()
+	}
+	return clients
+}
+
+// detach removes a closed or terminal client's stream from the table. A
+// plain connection has no other stream and closes with it.
+func (m *Mux) detach(c *Client) {
+	m.mu.Lock()
+	delete(m.clients, c.stream)
+	m.mu.Unlock()
+	if !m.mux {
+		m.shut()
+	}
+}
+
+// streams snapshots the stream table (caller holds mu).
+func (m *Mux) streams() []*Client {
 	clients := make([]*Client, 0, len(m.clients))
 	for _, c := range m.clients {
 		clients = append(clients, c)
 	}
-	m.mu.Unlock()
-	m.doneOnce.Do(func() { close(m.done) })
-	if conn != nil {
-		conn.Close()
-	}
-	for _, c := range clients {
-		c.Close()
-	}
-	return nil
+	return clients
 }
 
-// detach removes a closed client's stream from the table.
-func (m *Mux) detach(stream uint64) {
-	m.mu.Lock()
-	delete(m.clients, stream)
-	m.mu.Unlock()
-}
-
-// dial establishes and negotiates one physical connection: the two-byte
-// mux hello, then the daemon's echoed ack. Unlike a plain binary client the
-// hello is not pipelined with a request — the round trip is paid once per
-// physical connection and amortized over every stream it will carry.
+// dial establishes one physical connection. The mux framing negotiates
+// here — the two-byte hello, then the daemon's echoed ack — paying the
+// round trip once per physical connection, amortized over every stream it
+// will carry. A plain binary connection pipelines its hello instead (see
+// adopt); a JSON connection has none.
 func (m *Mux) dial() (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", m.addr, time.Second)
-	if err != nil {
-		return nil, err
+	if err != nil || !m.mux {
+		return conn, err
 	}
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	hello := [2]byte{wire.HelloMagic, wire.VersionBinaryMux}
@@ -193,42 +236,92 @@ func (m *Mux) dial() (net.Conn, error) {
 	return conn, nil
 }
 
-// adopt installs a negotiated connection, starts its reader, and resumes
-// every registered stream. Streams unpark one by one as their resume
-// register lands (an unregistered stream unparks immediately), so callers
-// never race their own re-registration.
-func (m *Mux) adopt(conn net.Conn) {
+// adopt installs a connection, starts its reader, and resumes every
+// stream. Streams unpark one by one as their resume register lands (an
+// unregistered stream unparks immediately), so callers never race their
+// own re-registration. On a plain binary connection the two-byte hello is
+// buffered here and flushed with the first request, so negotiation costs
+// no round trip; the read loop strips the daemon's ack. adopt waits for
+// the resumes, as a handshake would, and reports whether the connection
+// survived them; one that stalls past resumeTimeout is given up.
+func (m *Mux) adopt(conn net.Conn) bool {
+	size := 4096
+	if m.mux {
+		size = muxWriteBufferBytes
+	}
+	expectAck := !m.mux && m.opts.Codec.Name() != "json"
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		conn.Close()
+		return false
+	}
 	m.conn = conn
 	m.gen++
 	gen := m.gen
-	m.healthy = true
-	m.recovering = false
-	clients := make([]*Client, 0, len(m.clients))
-	for _, c := range m.clients {
-		clients = append(clients, c)
-	}
-	m.mu.Unlock()
 	m.wmu.Lock()
-	m.bw = bufio.NewWriterSize(conn, muxWriteBufferBytes)
-	m.wmu.Unlock()
-	go m.readLoop(conn, gen)
-	for _, c := range clients {
-		go m.resume(c)
+	m.bw, m.wgen = bufio.NewWriterSize(conn, size), gen
+	if expectAck {
+		m.bw.Write([]byte{wire.HelloMagic, wire.VersionBinary})
 	}
+	m.wmu.Unlock()
+	m.healthy = true
+	clients := m.streams()
+	m.mu.Unlock()
+	go m.readLoop(conn, gen, size, expectAck)
+	var wg sync.WaitGroup
+	for _, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.resume(c, gen)
+		}()
+	}
+	resumed := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(resumed)
+	}()
+	t := time.NewTimer(resumeTimeout)
+	defer t.Stop()
+	select {
+	case <-resumed:
+	case <-t.C:
+		m.connLost(gen, errors.New("client: resume timed out"))
+		<-resumed
+	}
+	// Recovery ends here only if the connection is still the live one; the
+	// check and the flag flip share the lock so a loss right after is seen
+	// by connLost, which then starts the next recovery.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ok := m.healthy && m.gen == gen
+	if ok {
+		m.recovering = false
+	}
+	return ok
 }
 
-// readLoop is the one reader of the shared connection: it demultiplexes
-// response frames by stream id into each client's dispatch — the same
-// single-writer arrival-order guarantee a private read loop gives.
-func (m *Mux) readLoop(conn net.Conn, gen uint64) {
-	br := bufio.NewReaderSize(conn, muxWriteBufferBytes)
-	dec := wirebin.NewMuxResponseReader(br)
+// readLoop is the one reader of a connection: it demultiplexes response
+// frames by stream id into each client's dispatch — the same
+// single-writer arrival-order guarantee for every stream.
+func (m *Mux) readLoop(conn net.Conn, gen uint64, size int, expectAck bool) {
+	br := bufio.NewReaderSize(conn, size)
 	var err error
-	for {
-		var resp wire.Response
+	if expectAck {
+		var ack [2]byte
+		if _, err = io.ReadFull(br, ack[:]); err == nil && ack != [2]byte{wire.HelloMagic, wire.VersionBinary} {
+			err = fmt.Errorf("client: bad codec negotiation ack %x", ack)
+		}
+	}
+	read := m.responseReader(br)
+	// One response buffer for the connection's life, zeroed per frame:
+	// dispatch copies it out.
+	var resp wire.Response
+	for err == nil {
+		resp = wire.Response{}
 		var sid uint64
-		if sid, err = dec.Read(&resp); err != nil {
+		if sid, err = read(&resp); err != nil {
 			break
 		}
 		m.mu.Lock()
@@ -241,37 +334,71 @@ func (m *Mux) readLoop(conn net.Conn, gen uint64) {
 	m.connLost(gen, err)
 }
 
-// send encodes one stream's request into the shared write buffer and nudges
-// the flusher. Group commit: the flusher only runs once the sender has
-// yielded (usually parking for its response), so every stream that sends in
-// the meantime rides the same flush — one write syscall for the burst. A
-// flush error is not reported here; the broken connection fails the read
-// loop, which owns connection loss.
-func (m *Mux) send(stream uint64, req *wire.Request) error {
+// responseReader returns the framing's response decoder, yielding each
+// response with its stream id. A plain connection's frames belong to its
+// implicit stream, the first and only one Client hands out there.
+func (m *Mux) responseReader(br *bufio.Reader) func(*wire.Response) (uint64, error) {
+	if m.mux {
+		return wirebin.NewMuxResponseReader(br).Read
+	}
+	dec := m.opts.Codec.NewResponseReader(br)
+	return func(resp *wire.Response) (uint64, error) { return 1, dec.Read(resp) }
+}
+
+// send encodes one stream's request into the write buffer of connection
+// generation live and commits it; a request bound to a connection that is
+// gone fails as a transport error. A plain connection flushes at once: its
+// one stream has no one to share a flush with. A mux connection nudges the flusher instead (group commit):
+// the flusher only runs once the sender has yielded (usually parking for
+// its response), so every stream that sends in the meantime rides the same
+// flush. A mux flush error is not reported here; the broken connection
+// fails the read loop, which owns connection loss. Encode failures return
+// as plain errors, transport failures as *transportError.
+func (m *Mux) send(live, stream uint64, req *wire.Request) error {
 	m.wmu.Lock()
+	if m.bw == nil || m.wgen != live {
+		m.wmu.Unlock()
+		return &transportError{errors.New("client: send: connection lost")}
+	}
+	var frame []byte
 	var err error
-	if m.bw == nil {
-		err = errors.New("not connected")
+	if m.mux {
+		frame, err = wirebin.AppendMuxRequest(m.scratch[:0], stream, req)
+		m.scratch = frame
 	} else {
-		m.scratch, err = wirebin.AppendMuxRequest(m.scratch[:0], stream, req)
-		if err == nil {
-			_, err = m.bw.Write(m.scratch)
-		}
+		// The codec writer is an interface call, so it gets a copy: req
+		// itself stays on the caller's stack.
+		r := *req
+		m.ebuf.Reset()
+		err = m.enc.Write(&r)
+		frame = m.ebuf.Bytes()
+	}
+	if err != nil {
+		m.wmu.Unlock()
+		return fmt.Errorf("client: send: %w", err)
+	}
+	_, err = m.bw.Write(frame)
+	if err == nil && !m.mux {
+		err = m.bw.Flush()
 	}
 	m.wmu.Unlock()
-	if err == nil {
+	if err != nil {
+		return &transportError{fmt.Errorf("client: send: %w", err)}
+	}
+	if m.mux {
 		select {
 		case m.flushCh <- struct{}{}:
 		default: // a flush is already scheduled; it will carry this frame
 		}
 	}
-	return err
+	return nil
 }
 
-// flusher is the write loop's flush half, one per Mux for its lifetime: it
-// wakes after a burst of sends and commits whatever they buffered. The
-// channel holds at most one pending nudge — a flush commits everything
-// buffered so far, so one scheduled flush covers any number of writers.
+// flusher is the mux write path's flush half, one per Mux for its
+// lifetime: it wakes after a burst of sends and commits whatever they
+// buffered. The channel holds at most one pending nudge — a flush commits
+// everything buffered so far, so one scheduled flush covers any number of
+// writers.
 func (m *Mux) flusher() {
 	for {
 		select {
@@ -293,7 +420,8 @@ func (m *Mux) flusher() {
 }
 
 // connLost handles the death of connection generation gen: every stream
-// fails down together, then one recovery redials for all of them.
+// fails down together, then one recovery redials for all of them (or, with
+// Reconnect off, the mux dies).
 func (m *Mux) connLost(gen uint64, cause error) {
 	m.mu.Lock()
 	if m.closed || gen != m.gen || !m.healthy {
@@ -302,28 +430,46 @@ func (m *Mux) connLost(gen uint64, cause error) {
 	}
 	m.healthy = false
 	m.conn.Close()
+	// A send from here on fails instead of buffering into the dead
+	// connection: its call may have parked after the sweep below, and
+	// nothing would ever complete it.
+	m.wmu.Lock()
+	m.bw = nil
+	m.wmu.Unlock()
 	reconnect := m.opts.Reconnect
-	if reconnect {
-		m.recovering = true
-	} else {
+	if !reconnect {
 		m.dead = fmt.Errorf("client: connection lost: %w", cause)
 	}
-	clients := make([]*Client, 0, len(m.clients))
-	for _, c := range m.clients {
-		clients = append(clients, c)
+	clients := m.streams()
+	spawn := reconnect && !m.recovering
+	if spawn {
+		m.recovering = true
 	}
 	m.mu.Unlock()
 	for _, c := range clients {
-		c.muxDown(cause, reconnect)
+		c.down(cause, reconnect)
 	}
-	if reconnect {
+	if spawn {
 		go m.recoverLoop()
 	}
 }
 
+// kick hands the current connection to connection-loss handling (the
+// daemon said it is draining): every stream is down when kick returns, and
+// one recovery redials for all of them.
+func (m *Mux) kick() {
+	m.mu.Lock()
+	gen := m.gen
+	m.mu.Unlock()
+	m.connLost(gen, errors.New("daemon draining"))
+}
+
 // recoverLoop redials with exponential backoff plus jitter until a
-// connection is adopted or the mux closes. Past the FailOpen deadline every
-// stream degrades (new streams degrade on the next tick).
+// connection is adopted and survives its streams' resumes, or the mux
+// closes; a connection lost mid-resume is one more failed attempt, not a
+// new recovery. Past the FailOpen deadline, measured from the loss, every
+// stream degrades (new streams degrade on the next tick) while the loop
+// keeps trying.
 func (m *Mux) recoverLoop() {
 	backoff := m.opts.BackoffMin
 	var failAt time.Time
@@ -336,10 +482,7 @@ func (m *Mux) recoverLoop() {
 			m.mu.Unlock()
 			return
 		}
-		clients := make([]*Client, 0, len(m.clients))
-		for _, c := range m.clients {
-			clients = append(clients, c)
-		}
+		clients := m.streams()
 		m.mu.Unlock()
 		if !failAt.IsZero() && time.Now().After(failAt) {
 			for _, c := range clients {
@@ -347,8 +490,7 @@ func (m *Mux) recoverLoop() {
 			}
 		}
 		conn, err := m.dial()
-		if err == nil {
-			m.adopt(conn)
+		if err == nil && m.adopt(conn) {
 			return
 		}
 		d := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
@@ -366,98 +508,87 @@ func (m *Mux) recoverLoop() {
 // resume re-establishes one stream on a fresh connection: a registered
 // client re-registers (same name, next incarnation, accumulated degraded
 // report) before its callers unpark; an unregistered one unparks
-// immediately. The register rides the new connection's ordinary request
-// path — the daemon opens the stream on its first frame, exactly like a
-// reconnecting plain client.
-func (m *Mux) resume(c *Client) {
-	c.regMu.Lock()
-	registered := c.registered
-	var req wire.Request
-	if registered {
-		c.incarnation++
-		req = wire.Request{
-			Type:        wire.TypeRegister,
-			App:         c.regName,
-			Cores:       c.regCores,
-			Target:      c.defTarget,
-			Incarnation: c.incarnation,
-		}
-	}
-	c.regMu.Unlock()
-	if !registered {
-		c.muxUp()
-		return
-	}
-	self, deg := c.snapshotReport()
-	req.SelfGrants = self
-	req.DegradedS = deg
-	_, err := c.rawCall(req)
-	if err != nil {
-		var re *ReplyError
-		if errors.As(err, &re) {
-			if !wire.Retryable(re.Code) {
-				c.terminal(re)
-				return
+// immediately. The register rides the stream's ordinary request path — the
+// daemon opens a mux stream on its first frame. A busy or overloaded
+// answer backs off and retries in place, draining cycles the connection,
+// and any other rejection (another incarnation won the name) is terminal.
+func (m *Mux) resume(c *Client, live uint64) {
+	for attempt := 0; ; {
+		c.regMu.Lock()
+		registered := c.registered
+		var req wire.Request
+		if registered {
+			c.incarnation++
+			req = wire.Request{
+				Type:        wire.TypeRegister,
+				App:         c.regName,
+				Cores:       c.regCores,
+				Target:      c.defTarget,
+				Incarnation: c.incarnation,
 			}
-			// Draining (or overload at register): cycle the shared
-			// connection; the next adoption retries every stream's resume.
-			m.kick()
+		}
+		c.regMu.Unlock()
+		if !registered {
+			c.up(live)
 			return
 		}
-		// Transport loss: the connection died again and its connLost path
-		// owns the next recovery round. Leave the stream down.
-		return
+		req.SelfGrants, req.DegradedS = c.snapshotReport()
+		_, err := c.rawCall(live, req)
+		if err == nil {
+			c.markReported(req.SelfGrants, req.DegradedS)
+			c.up(live)
+			return
+		}
+		var re *ReplyError
+		if !errors.As(err, &re) {
+			// Transport loss: the connection died again and its connLost
+			// path owns the next recovery round. Leave the stream down.
+			return
+		}
+		if !wire.Retryable(re.Code) {
+			c.terminal(re)
+			m.detach(c)
+			return
+		}
+		if attempt = c.retryReply(re.Code, attempt); attempt < 0 || re.Code == wire.CodeDraining {
+			return
+		}
 	}
-	c.markReported(self, deg)
-	c.muxUp()
 }
 
-// kick force-cycles the shared connection (the daemon said it is draining):
-// closing it sends every stream through the shared recovery path.
-func (m *Mux) kick() {
-	m.mu.Lock()
-	if m.healthy && m.conn != nil {
-		m.conn.Close()
-	}
-	m.mu.Unlock()
-	// Give the read loop a moment to observe the close; await handles the
-	// rest once connLost has run.
-	time.Sleep(time.Millisecond)
-}
-
-// muxDown fails one stream's client when the shared connection dies:
-// parked calls fail (retryable), and the client parks down (reconnect) or
-// dies (fail-fast), mirroring connLost without a connection of its own.
-func (c *Client) muxDown(cause error, reconnect bool) {
+// down fails one stream when its connection dies: parked calls fail
+// (retryable), and the client parks down until its stream resumes
+// (Reconnect) or dies (fail-fast).
+func (c *Client) down(cause error, reconnect bool) {
+	err := fmt.Errorf("client: connection lost: %w", cause)
 	c.cmu.Lock()
-	if c.closed || !c.healthy {
+	if c.closed {
 		c.cmu.Unlock()
 		return
 	}
-	c.healthy = false
-	if reconnect {
+	c.live = 0
+	if !reconnect {
+		c.termErr = err
+	} else if c.stateCh == nil {
 		c.stateCh = make(chan struct{})
-		c.recovering = true
-	} else {
-		c.termErr = fmt.Errorf("client: connection lost: %w", cause)
 	}
 	c.cmu.Unlock()
-	c.failPending(reconnect, fmt.Errorf("client: connection lost: %w", cause))
+	c.failPending(reconnect, err)
 	if !reconnect {
 		c.finish()
 	}
 }
 
-// muxUp unparks one stream's client after the shared connection (and this
-// stream's resume, when it was registered) is back.
-func (c *Client) muxUp() {
+// up unparks one stream once it is live on connection generation live
+// (resumed, when it was registered). Its journals, synced on an earlier
+// generation, re-drive before their targets' next calls.
+func (c *Client) up(live uint64) {
 	c.cmu.Lock()
 	if c.closed || c.termErr != nil {
 		c.cmu.Unlock()
 		return
 	}
-	c.healthy = true
-	c.recovering = false
+	c.live = live
 	if c.degraded {
 		c.degraded = false
 		c.endWindow()
@@ -465,7 +596,6 @@ func (c *Client) muxUp() {
 	st := c.stateCh
 	c.stateCh = nil
 	c.cmu.Unlock()
-	c.epoch.Add(1)
 	if st != nil {
 		close(st)
 	}

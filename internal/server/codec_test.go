@@ -1,8 +1,11 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -160,5 +163,65 @@ func TestSocketTuningAndAcceptSharding(t *testing.T) {
 	}
 	if got := srv.GrantsServed(); got != n {
 		t.Fatalf("grants served = %d, want %d", got, n)
+	}
+}
+
+// TestOversizedReplyAnswered: a Stats snapshot past wire.MaxFrame cannot be
+// encoded on any framing. The caller must get a CodeProtocol error under
+// its request's Seq rather than hang, and the connection must keep
+// serving. ~520 apps with 2 KiB names, registered cheaply over one mux
+// connection, push the snapshot over the limit.
+func TestOversizedReplyAnswered(t *testing.T) {
+	_, addr := startTestServer(t, Config{})
+	fleet, err := client.DialMux(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	pad := strings.Repeat("x", 2048)
+	for i := 0; i < 520; i++ {
+		c, err := fleet.Client()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Register(fmt.Sprintf("%s-%03d", pad, i), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Prepare(info(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mx, err := client.DialMux(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Close()
+	muxc, err := mx.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fc := range []struct {
+		name string
+		c    *client.Client
+	}{{"json", dialT(t, addr)}, {"binary", dialBinaryT(t, addr)}, {"mux", muxc}} {
+		t.Run(fc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := fc.c.Stats()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				var re *client.ReplyError
+				if !errors.As(err, &re) || re.Code != wire.CodeProtocol {
+					t.Fatalf("oversized stats: err=%v, want a %q reply", err, wire.CodeProtocol)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("oversized stats reply hung its caller")
+			}
+			if err := fc.c.Register("after-"+fc.name, 1); err != nil {
+				t.Fatalf("connection stopped serving after the oversized reply: %v", err)
+			}
+		})
 	}
 }

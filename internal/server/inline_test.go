@@ -297,11 +297,8 @@ func TestInlineDrainsQueuedFramesFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	prepare := map[string]string{core.KeyBytesTotal: "1"}
-	var h, wt, p session
-	for _, s := range []*session{&h, &wt, &p} {
-		s.out = make(chan wire.Response, 64)
-	}
-	for i, s := range []*session{&h, &wt, &p} {
+	h, wt, p := newTestSession(64), newTestSession(64), newTestSession(64)
+	for i, s := range []*session{h, wt, p} {
 		srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: fmt.Sprintf("app-%d", i), Cores: 1, Target: "t"})
 		srv.handle(s, wire.Request{Seq: 2, Type: wire.TypePrepare, Info: prepare})
 	}
@@ -312,7 +309,7 @@ func TestInlineDrainsQueuedFramesFirst(t *testing.T) {
 	seq := uint64(2)
 	route := func(typ string) {
 		seq++
-		srv.route(&p, wire.Request{Seq: seq, Type: typ})
+		srv.route(p, wire.Request{Seq: seq, Type: typ})
 	}
 	queued := func(want int) {
 		t.Helper()
@@ -331,28 +328,27 @@ func TestInlineDrainsQueuedFramesFirst(t *testing.T) {
 	queued(0)
 
 	// Contended target: H holds, W parks, and P's frames queue.
-	srv.handle(&h, wire.Request{Seq: 3, Type: wire.TypeInform})
-	srv.handle(&h, wire.Request{Seq: 4, Type: wire.TypeWait})
-	srv.handle(&wt, wire.Request{Seq: 3, Type: wire.TypeInform})
-	srv.handle(&wt, wire.Request{Seq: 4, Type: wire.TypeWait})
+	srv.handle(h, wire.Request{Seq: 3, Type: wire.TypeInform})
+	srv.handle(h, wire.Request{Seq: 4, Type: wire.TypeWait})
+	srv.handle(wt, wire.Request{Seq: 3, Type: wire.TypeInform})
+	srv.handle(wt, wire.Request{Seq: 4, Type: wire.TypeWait})
 	route(wire.TypeInform)
 	route(wire.TypeCheck)
 	queued(2)
 	// H leaves; W's Wait is served and the target is uncontended with P's
 	// frames still queued.
-	srv.handle(&h, wire.Request{Seq: 5, Type: wire.TypeRelease})
-	srv.handle(&h, wire.Request{Seq: 6, Type: wire.TypeEnd})
+	srv.handle(h, wire.Request{Seq: 5, Type: wire.TypeRelease})
+	srv.handle(h, wire.Request{Seq: 6, Type: wire.TypeEnd})
 	route(wire.TypeWait)
 	queued(0)
-	srv.handle(&wt, wire.Request{Seq: 5, Type: wire.TypeRelease})
-	srv.handle(&wt, wire.Request{Seq: 6, Type: wire.TypeEnd})
+	srv.handle(wt, wire.Request{Seq: 5, Type: wire.TypeRelease})
+	srv.handle(wt, wire.Request{Seq: 6, Type: wire.TypeEnd})
 	route(wire.TypeRelease)
 	route(wire.TypeEnd)
 	queued(0)
 
 	last := uint64(2)
-	for len(p.out) > 0 {
-		r := <-p.out
+	for r, ok := p.next(); ok; r, ok = p.next() {
 		if r.Seq <= 2 {
 			continue // a push (Seq 0), or a setup response
 		}
@@ -382,7 +378,7 @@ func routeServer(tb testing.TB, k int) (*Server, []*session) {
 	}
 	ss := make([]*session, k)
 	for i := range ss {
-		ss[i] = &session{out: make(chan wire.Response, 16)}
+		ss[i] = newTestSession(16)
 		srv.handle(ss[i], wire.Request{Seq: 1, Type: wire.TypeRegister, App: fmt.Sprintf("app-%02d", i),
 			Cores: 64, Target: fmt.Sprintf("t%02d", i)})
 		srv.handle(ss[i], wire.Request{Seq: 2, Type: wire.TypePrepare, Info: map[string]string{core.KeyBytesTotal: "1000000"}})
@@ -399,22 +395,16 @@ func routeCycle(srv *Server, s *session) wire.Response {
 	srv.route(s, wire.Request{Seq: 5, Type: wire.TypeRelease})
 	srv.route(s, wire.Request{Seq: 6, Type: wire.TypeEnd})
 	var wait wire.Response
-	for {
-		select {
-		case r := <-s.out:
-			if r.Seq == 4 {
-				wait = r
-			}
-			continue
-		default:
+	for r, ok := s.next(); ok; r, ok = s.next() {
+		if r.Seq == 4 {
+			wait = r
 		}
-		return wait
 	}
+	return wait
 }
 
 func drainOut(s *session) {
-	for len(s.out) > 0 {
-		<-s.out
+	for _, ok := s.next(); ok; _, ok = s.next() {
 	}
 }
 

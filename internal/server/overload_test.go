@@ -181,8 +181,8 @@ func TestSlowClientDisconnect(t *testing.T) {
 	}
 	cconn, sconn := net.Pipe()
 	defer cconn.Close()
-	s := &session{conn: sconn, out: make(chan wire.Response, 1), quit: make(chan struct{})}
-	s.slowDrops = srv.m.slowDisconnects
+	s := newTestSession(1)
+	s.c.nc, s.c.srv = sconn, srv
 	srv.sessions[s] = struct{}{}
 	srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 4}) // fills the only slot
 	srv.handle(s, wire.Request{Seq: 2, Type: wire.TypeInform})                       // overflows it

@@ -249,8 +249,8 @@ func TestConvoyProtocolBreakdown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := &session{out: make(chan wire.Response, 16)}
-		b := &session{out: make(chan wire.Response, 16)}
+		a := newTestSession(16)
+		b := newTestSession(16)
 		srv.handle(a, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1})
 		srv.handle(b, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "B", Cores: 1})
 		srv.handle(a, wire.Request{Seq: 2, Type: wire.TypeInform})

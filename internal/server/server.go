@@ -2,10 +2,14 @@
 // the paper's arbitration layer run as a network service instead of inside
 // the discrete-event simulator.
 //
-// Architecture: coordination is sharded by storage target. One goroutine per
-// connection reads wire.Request frames (register and stats go to a control
-// goroutine that owns session lifecycle); one goroutine per connection
-// writes responses and pushed grants/revocations back out. Each target's
+// Architecture: coordination is sharded by storage target. Every connection
+// is one stack whatever its framing (see conn): a stream table, one reader
+// goroutine decoding wire.Request frames (register and stats go to a
+// control goroutine that owns session lifecycle), and one group-commit
+// writer goroutine sending responses and pushed grants/revocations back
+// out. A v1 JSON or v2 binary connection is a stream table with one
+// implicit stream; a v3 mux connection carries many. Each stream is a
+// session to everything past the reader. Each target's
 // coordination state — its core.Arbiter from the shared core.ArbiterSet,
 // per-session bindings, pending Waits, the decision log — is guarded by that
 // target's shard mutex and touched only under it, so per-target decisions
@@ -31,10 +35,8 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"sort"
@@ -47,7 +49,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/wire"
-	"repro/internal/wirebin"
 )
 
 // Config parameterizes a daemon.
@@ -212,34 +213,19 @@ type ident struct {
 	incarnation uint64
 }
 
-// session is one client connection. The shared fields are written by the
-// control goroutine and read by reader/writer/shard goroutines; per-target
-// coordination state lives in bindings guarded by shard locks.
+// session is one stream of a client connection (see conn). The shared
+// fields are written by the control goroutine and read by reader/writer/
+// shard goroutines; per-target coordination state lives in bindings
+// guarded by shard locks.
 type session struct {
-	conn net.Conn
-	// rd and wr are the connection's byte streams, wrapped for byte
-	// accounting when a metrics registry is configured. The reader and
-	// writer goroutines buffer on top of them.
-	rd io.Reader
-	wr io.Writer
-	// codec is the wire format negotiated from the connection's first byte
-	// (see wire.HelloMagic). serveConn completes negotiation before the
-	// session exists, so the write loop starts with the codec installed.
-	codec wire.Codec
-	out   chan wire.Response
-	quit  chan struct{} // closed at teardown; the write loop drains and exits
-	dead  atomic.Bool
-
-	// mc and stream are set on mux stream sessions only: the session is one
-	// logical stream of a shared mux connection. out and quit are nil then —
-	// responses go through mc's group-commit write loop, and teardown marks
-	// the stream dead without touching the shared connection.
-	mc     *muxConn
+	// c is the connection the session rides and stream its id there. A nil
+	// c is an inline-mode session with nowhere to send.
+	c      *conn
 	stream uint64
+	dead   atomic.Bool // torn down: later responses are dropped
 
 	id           atomic.Pointer[ident]
 	gone         atomic.Bool   // dropped; shards ignore later envelopes
-	torn         atomic.Bool   // teardown ran (limbo and drop may both reach it)
 	lastSeen     atomic.Uint64 // float64 bits of the last request time
 	pendingWaits atomic.Int32  // deferred Waits across all targets
 
@@ -252,11 +238,6 @@ type session struct {
 	// kindConnect envelope is enqueued and owned by the control goroutine
 	// afterwards; a successful register (or resume, or drop) disarms it.
 	handshake *time.Timer
-	// slowDrops, resolved at accept, counts this path: send disconnecting
-	// the client because its response buffer overflowed. Nil without a
-	// metrics registry. Incremented under shard locks, hence a counter
-	// pointer rather than a trip through the control goroutine.
-	slowDrops *obs.Counter
 	// viaControl counts this session's coordination frames still in
 	// flight through the control goroutine (frames read before the
 	// session had an identity). While it is nonzero the reader keeps
@@ -280,38 +261,21 @@ func (s *session) disarmHandshake() {
 
 func (s *session) seen() float64 { return math.Float64frombits(s.lastSeen.Load()) }
 
-// teardown ends the session's write loop (which closes the connection).
-// Idempotent: the limbo path tears a connection down at disconnect, and the
+// teardown marks the stream dead; on a plain connection, whose only
+// stream it is, it also ends the write loop (which closes the connection).
+// Idempotent: the limbo path tears a session down at disconnect, and the
 // eventual drop (grace expiry, resume, shutdown) reaches here again.
 func (s *session) teardown() {
 	s.dead.Store(true)
-	if s.quit != nil && s.torn.CompareAndSwap(false, true) {
-		close(s.quit)
+	if s.c != nil && !s.c.mux {
+		s.c.teardown()
 	}
 }
 
-// send enqueues a response without ever blocking an arbitration goroutine: a
-// client too slow to drain its buffer is disconnected rather than allowed
-// to stall arbitration for everyone else.
+// send enqueues a response on the session's connection (see conn.send).
 func (s *session) send(r wire.Response) {
-	if s.dead.Load() {
-		return
-	}
-	if s.mc != nil {
-		s.mc.send(s, r)
-		return
-	}
-	if s.out == nil {
-		return
-	}
-	select {
-	case s.out <- r:
-	default:
-		s.dead.Store(true)
-		if s.slowDrops != nil {
-			s.slowDrops.Inc()
-		}
-		s.conn.Close()
+	if s.c != nil && !s.dead.Load() {
+		s.c.send(s.stream, r)
 	}
 }
 
@@ -320,10 +284,10 @@ func (s *session) send(r wire.Response) {
 // sees the disconnect — but a mux stream's connection outlives the stream,
 // and without an error reply the client would hang on the request forever.
 func (s *session) replyGone(seq uint64, target string) {
-	if s.mc == nil || seq == 0 {
+	if s.c == nil || !s.c.mux || seq == 0 {
 		return
 	}
-	s.mc.send(s, wire.Response{Seq: seq, Type: wire.TypeResp,
+	s.c.send(s.stream, wire.Response{Seq: seq, Type: wire.TypeResp,
 		Err: "session dropped", Code: wire.CodeProtocol, Target: target})
 }
 
@@ -870,76 +834,6 @@ func (srv *Server) Stats() wire.Stats {
 	return srv.final
 }
 
-func (srv *Server) startSession(conn net.Conn) {
-	srv.wg.Add(1)
-	go srv.serveConn(conn)
-}
-
-// serveConn owns a freshly accepted connection: it negotiates the wire
-// codec first — under the handshake deadline, so a silent connection cannot
-// park in negotiation forever — and only then builds the session machinery
-// the negotiated mode needs. A mux connection gets a demux loop and a
-// shared group-commit write loop; a plain connection gets the classic
-// one-session reader/writer pair.
-func (srv *Server) serveConn(conn net.Conn) {
-	defer srv.wg.Done()
-	var rd io.Reader = conn
-	var wr io.Writer = conn
-	if srv.m != nil {
-		rd = countReader{conn, srv.m.bytesIn}
-		wr = countWriter{conn, srv.m.bytesOut}
-	}
-	if d := srv.cfg.HandshakeTimeout; d > 0 {
-		conn.SetReadDeadline(time.Now().Add(d))
-	}
-	br := bufio.NewReader(rd)
-	codec, mux, err := srv.negotiate(br, wr)
-	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			if srv.m != nil {
-				srv.m.handshakeTimeouts.Inc()
-			}
-			srv.logf("calciomd: dropping unregistered connection: handshake timeout")
-		}
-		conn.Close()
-		return
-	}
-	if srv.cfg.HandshakeTimeout > 0 {
-		conn.SetReadDeadline(time.Time{})
-	}
-	if srv.m != nil {
-		srv.m.conns(codec.Name(), mux).Inc()
-	}
-	if mux {
-		srv.serveMux(conn, br, wr)
-		return
-	}
-	s := srv.newSession(conn, rd, wr)
-	s.codec = codec
-	if !srv.announce(s) {
-		conn.Close()
-		return
-	}
-	srv.wg.Add(1)
-	go srv.writeLoop(s)
-	srv.readLoop(s, br)
-}
-
-// newSession builds a plain (non-mux) session for an accepted connection.
-func (srv *Server) newSession(conn net.Conn, rd io.Reader, wr io.Writer) *session {
-	buf := srv.cfg.WriteBuffer
-	if buf <= 0 {
-		buf = 256
-	}
-	s := &session{conn: conn, rd: rd, wr: wr,
-		out: make(chan wire.Response, buf), quit: make(chan struct{})}
-	if srv.m != nil {
-		s.slowDrops = srv.m.slowDisconnects
-	}
-	return s
-}
-
 // announce arms the session's register deadline and hands it to the control
 // goroutine. It returns false when the server is stopping — the session was
 // never adopted and the caller owns the connection's teardown.
@@ -1028,100 +922,6 @@ func (srv *Server) shedReply(s *session, seq uint64, verb, target string, now fl
 	s.send(wire.Response{Seq: seq, Type: wire.TypeResp,
 		Err:  "overloaded: " + verb + " shed, back off and retry",
 		Code: wire.CodeOverloaded, Target: target})
-}
-
-// countReader and countWriter sit between a connection and its buffered
-// reader/writer, counting wire bytes into registry counters with one atomic
-// add per syscall-level read or write.
-type countReader struct {
-	r io.Reader
-	c *obs.Counter
-}
-
-func (cr countReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	if n > 0 {
-		cr.c.Add(uint64(n))
-	}
-	return n, err
-}
-
-type countWriter struct {
-	w io.Writer
-	c *obs.Counter
-}
-
-func (cw countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	if n > 0 {
-		cw.c.Add(uint64(n))
-	}
-	return n, err
-}
-
-// negotiate sniffs the connection's first byte to pick its wire codec. A v1
-// JSON client's first byte is always 0x00 (frame lengths are bounded far
-// below 1<<24), so anything but wire.HelloMagic falls through to the JSON
-// codec with the byte stream untouched. On a hello it consumes the two
-// hello bytes, writes the two-byte ack echoing the accepted version (no
-// write loop exists yet, so serveConn's goroutine owns the connection), and
-// switches the connection to the negotiated codec before the first frame.
-// The returned mux flag selects the session-multiplexed framing on top of
-// the binary codec (wire.VersionBinaryMux).
-func (srv *Server) negotiate(br *bufio.Reader, wr io.Writer) (wire.Codec, bool, error) {
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, false, err
-	}
-	if first[0] != wire.HelloMagic {
-		return wire.JSON, false, nil
-	}
-	var hello [2]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
-		return nil, false, err
-	}
-	if hello[1] != wire.VersionBinary && hello[1] != wire.VersionBinaryMux {
-		return nil, false, fmt.Errorf("unsupported codec version %d", hello[1])
-	}
-	if _, err := wr.Write(hello[:]); err != nil {
-		return nil, false, err
-	}
-	return wirebin.Codec{}, hello[1] == wire.VersionBinaryMux, nil
-}
-
-// readLoop routes each request to the goroutine owning its state: register
-// and stats to the control loop, coordination verbs to the shard of the
-// target they address. A coordination frame read before the session has an
-// identity — a client pipelining ahead of its register response — also
-// goes to the control loop, which processes it strictly after the register
-// it was queued behind and forwards it to the right shard, so the frame is
-// never misrouted to the wrong coordination domain.
-func (srv *Server) readLoop(s *session, br *bufio.Reader) {
-	dec := s.codec.NewRequestReader(br)
-	rl := srv.newRateLimiter()
-	for {
-		var req wire.Request
-		if err := dec.Read(&req); err != nil {
-			break
-		}
-		if req.Seq == 0 {
-			break // reserved for pushes; a zero Seq is a client bug
-		}
-		admit, kill := rl.admit(srv, s, &req)
-		if kill {
-			break
-		}
-		if !admit {
-			continue
-		}
-		if !srv.route(s, req) {
-			return
-		}
-	}
-	select {
-	case srv.reqCh <- envelope{kind: kindDisconnect, s: s}:
-	case <-srv.stop:
-	}
 }
 
 // rateLimiter is a per-connection token bucket, plain locals on the reader
@@ -1235,41 +1035,6 @@ func (srv *Server) route(s *session, req wire.Request) bool {
 	return true
 }
 
-func (srv *Server) writeLoop(s *session) {
-	defer srv.wg.Done()
-	defer s.conn.Close()
-	bw := bufio.NewWriter(s.wr)
-	enc := s.codec.NewResponseWriter(bw)
-	write := func(resp wire.Response) {
-		if err := enc.Write(&resp); err != nil {
-			s.dead.Store(true)
-		}
-		// Batch: flush only when no further response is queued.
-		if len(s.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				s.dead.Store(true)
-			}
-		}
-	}
-	for {
-		select {
-		case resp := <-s.out:
-			write(resp)
-		case <-s.quit:
-			// Drain what the arbitration goroutines queued before teardown.
-			for {
-				select {
-				case resp := <-s.out:
-					write(resp)
-					continue
-				default:
-				}
-				return
-			}
-		}
-	}
-}
-
 // loop is the control goroutine: session lifecycle (connect, register,
 // disconnect, eviction), stats merging and shutdown. Coordination state
 // lives with the shard goroutines.
@@ -1312,10 +1077,7 @@ func (srv *Server) dispatch(env envelope) {
 		// firing racing the disarm can still deliver this envelope — the
 		// identity check makes it a no-op then.
 		if !env.s.gone.Load() && !env.s.limbo && env.s.id.Load() == nil {
-			if srv.m != nil {
-				srv.m.handshakeTimeouts.Inc()
-			}
-			srv.logf("calciomd: dropping unregistered connection: handshake timeout")
+			srv.countHandshakeTimeout()
 			srv.drop(env.s, "handshake timeout")
 		}
 	case kindExpire:
@@ -2367,7 +2129,7 @@ func (srv *Server) merge(now float64, snaps []shardSnap) wire.Stats {
 // control and shard goroutines on the caller's goroutine, taking the shard
 // lock for coordination verbs. Tests and benchmarks drive serialized (or
 // per-shard-concurrent) request sequences through it; a serving server
-// routes through readLoop instead.
+// routes through conn.readLoop instead.
 func (srv *Server) handle(s *session, req wire.Request) {
 	now := srv.clock()
 	s.touch(now)

@@ -27,6 +27,23 @@ func logicalClock() func() float64 {
 	}
 }
 
+// newTestSession returns an inline-mode session whose responses queue, up
+// to buf of them, on a connection with no write loop; next pops them.
+func newTestSession(buf int) *session {
+	return &session{c: &conn{out: make(chan outFrame, buf), quit: make(chan struct{})}}
+}
+
+// next pops the session's oldest queued response; ok is false when none is
+// queued.
+func (s *session) next() (r wire.Response, ok bool) {
+	select {
+	case f := <-s.c.out:
+		return f.resp, true
+	default:
+		return r, false
+	}
+}
+
 // testBinding returns a session's coordination state on the given target.
 func testBindingOn(srv *Server, s *session, target string) *binding {
 	sh, err := srv.shardFor(target)
@@ -389,17 +406,13 @@ func TestEndCancelsPendingWait(t *testing.T) {
 	}
 	drain := func(s *session) []wire.Response {
 		var out []wire.Response
-		for {
-			select {
-			case r := <-s.out:
-				out = append(out, r)
-			default:
-				return out
-			}
+		for r, ok := s.next(); ok; r, ok = s.next() {
+			out = append(out, r)
 		}
+		return out
 	}
-	a := &session{out: make(chan wire.Response, 16)}
-	b := &session{out: make(chan wire.Response, 16)}
+	a := newTestSession(16)
+	b := newTestSession(16)
 	srv.handle(a, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1})
 	srv.handle(b, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "B", Cores: 1})
 	srv.handle(a, wire.Request{Seq: 2, Type: wire.TypeInform})

@@ -26,9 +26,9 @@ func TestShardedTargetsIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hold := &session{out: make(chan wire.Response, 16)}
-	wait := &session{out: make(chan wire.Response, 16)}
-	other := &session{out: make(chan wire.Response, 16)}
+	hold := newTestSession(16)
+	wait := newTestSession(16)
+	other := newTestSession(16)
 	srv.handle(hold, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "hold", Cores: 1})
 	srv.handle(wait, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "wait", Cores: 1})
 	srv.handle(other, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "other", Cores: 1})
@@ -94,7 +94,7 @@ func TestShardedDefaultTargetRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &session{out: make(chan wire.Response, 16)}
+	s := newTestSession(16)
 	srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1, Target: "bb0"})
 	srv.handle(s, wire.Request{Seq: 2, Type: wire.TypeInform}) // no Target: routes to bb0
 	srv.handle(s, wire.Request{Seq: 3, Type: wire.TypeWait})
@@ -114,7 +114,7 @@ func TestMaxTargetsBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &session{out: make(chan wire.Response, 16)}
+	s := newTestSession(16)
 	srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1})
 	srv.handle(s, wire.Request{Seq: 2, Type: wire.TypeInform, Target: "t1"})
 	srv.handle(s, wire.Request{Seq: 3, Type: wire.TypeEnd, Target: "t1"})
@@ -122,15 +122,9 @@ func TestMaxTargetsBound(t *testing.T) {
 	srv.handle(s, wire.Request{Seq: 5, Type: wire.TypeEnd, Target: "t2"})
 	srv.handle(s, wire.Request{Seq: 6, Type: wire.TypeInform, Target: "t3"})
 	var last wire.Response
-	for {
-		select {
-		case r := <-s.out:
-			last = r
-		default:
-			goto done
-		}
+	for r, ok := s.next(); ok; r, ok = s.next() {
+		last = r
 	}
-done:
 	if last.Seq != 6 || last.Err == "" || !strings.Contains(last.Err, "too many storage targets") {
 		t.Fatalf("third target not rejected: %+v", last)
 	}
