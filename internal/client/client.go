@@ -224,7 +224,7 @@ type Client struct {
 	journal map[string]*tjournal
 
 	// Degraded (fail-open) accounting. pendSelf/pendDegraded are the
-	// not-yet-reported amounts a resume handshake carries to the daemon.
+	// not-yet-reported amounts a resume register carries to the daemon.
 	dmu           sync.Mutex
 	selfGrants    uint64
 	degradedSec   float64
@@ -421,7 +421,7 @@ func (c *Client) snapshotReport() (uint64, float64) {
 }
 
 // markReported subtracts amounts the daemon has accepted. Self-grants that
-// landed during the handshake stay pending for the next report; reported
+// landed during the resume stay pending for the next report; reported
 // open-window seconds are rebased by moving the window start forward.
 func (c *Client) markReported(self uint64, deg float64) {
 	c.dmu.Lock()
