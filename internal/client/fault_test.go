@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -546,5 +547,111 @@ func TestDegradedHistObservesWindow(t *testing.T) {
 			t.Fatal("degraded window never observed into the histogram")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestResumeThenCutFailsOpen: a daemon that answers the resume register and
+// dies at once must leave the stream down, not healthy on the dead
+// connection, so its callers park and FailOpen degrades them on schedule
+// instead of spinning on sends that can never succeed. The reply and the
+// cut race the resume's unpark, so the scenario repeats.
+func TestResumeThenCutFailsOpen(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		resumeThenCut(t, fmt.Sprintf("CUT%d", i))
+	}
+}
+
+func resumeThenCut(t *testing.T, name string) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// answer serves one v1 JSON connection: it replies OK to n requests.
+	answer := func(conn net.Conn, n int) error {
+		rd := wire.JSON.NewRequestReader(bufio.NewReader(conn))
+		bw := bufio.NewWriter(conn)
+		wr := wire.JSON.NewResponseWriter(bw)
+		for ; n > 0; n-- {
+			var req wire.Request
+			if err := rd.Read(&req); err != nil {
+				return err
+			}
+			if err := wr.Write(&wire.Response{Type: wire.TypeResp, Seq: req.Seq, OK: true}); err != nil {
+				return err
+			}
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	daemon := make(chan error, 1)
+	registered := make(chan struct{})
+	go func() {
+		daemon <- func() error {
+			first, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			if err := answer(first, 1); err != nil {
+				return err
+			}
+			<-registered
+			first.Close()
+			// The redial: answer the resume register, then go away for good.
+			second, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			err = answer(second, 1)
+			ln.Close()
+			second.Close()
+			return err
+		}()
+	}()
+
+	c, err := client.DialOptions(ln.Addr().String(), client.Options{
+		Reconnect:  true,
+		FailOpen:   50 * time.Millisecond,
+		BackoffMin: 5 * time.Millisecond,
+		BackoffMax: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Register(name, 1); err != nil {
+		t.Fatal(err)
+	}
+	close(registered)
+	select {
+	case err := <-daemon:
+		if err != nil {
+			t.Fatalf("fake daemon: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("client never resumed on the redial")
+	}
+
+	done := make(chan error, 1)
+	s := client.NewSession(c)
+	go func() {
+		if err := s.Begin(info(1)); err != nil {
+			done <- err
+			return
+		}
+		done <- s.End(1)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("phase after the daemon died: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("phase never degraded after the daemon died mid-resume")
+	}
+	if r := c.DegradedReport(); r.SelfGrants != 1 {
+		t.Fatalf("degraded report %+v, want 1 self-grant", r)
 	}
 }

@@ -111,7 +111,14 @@ func connect(addr string, opts Options, mux bool) (*Mux, error) {
 		done:    make(chan struct{}),
 	}
 	m.enc = opts.Codec.NewRequestWriter(&m.ebuf)
-	conn, err := m.dial()
+	// A plain connection's first dial has no bound of its own, so a full
+	// accept backlog is ridden out by the kernel's SYN retries; the mux
+	// dial and every redial give up after a second.
+	timeout := time.Duration(0)
+	if mux {
+		timeout = time.Second
+	}
+	conn, err := m.dial(timeout)
 	if err != nil && (!opts.Reconnect || opts.FailOpen <= 0) {
 		return nil, err
 	}
@@ -207,13 +214,14 @@ func (m *Mux) streams() []*Client {
 	return clients
 }
 
-// dial establishes one physical connection. The mux framing negotiates
-// here — the two-byte hello, then the daemon's echoed ack — paying the
-// round trip once per physical connection, amortized over every stream it
-// will carry. A plain binary connection pipelines its hello instead (see
-// adopt); a JSON connection has none.
-func (m *Mux) dial() (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", m.addr, time.Second)
+// dial establishes one physical connection, giving up after timeout (0:
+// no bound). The mux framing negotiates here — the two-byte hello, then
+// the daemon's echoed ack — paying the round trip once per physical
+// connection, amortized over every stream it will carry. A plain binary
+// connection pipelines its hello instead (see adopt); a JSON connection
+// has none.
+func (m *Mux) dial(timeout time.Duration) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", m.addr, timeout)
 	if err != nil || !m.mux {
 		return conn, err
 	}
@@ -489,7 +497,7 @@ func (m *Mux) recoverLoop() {
 				c.enterDegraded()
 			}
 		}
-		conn, err := m.dial()
+		conn, err := m.dial(time.Second)
 		if err == nil && m.adopt(conn) {
 			return
 		}
@@ -581,10 +589,16 @@ func (c *Client) down(cause error, reconnect bool) {
 
 // up unparks one stream once it is live on connection generation live
 // (resumed, when it was registered). Its journals, synced on an earlier
-// generation, re-drive before their targets' next calls.
+// generation, re-drive before their targets' next calls. A connection that
+// died before its stream came up leaves the stream down: the check runs
+// under the mux lock, which connLost holds while it marks the connection
+// lost, so its sweep of the streams always runs after any up it let pass.
 func (c *Client) up(live uint64) {
+	m := c.mx
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	c.cmu.Lock()
-	if c.closed || c.termErr != nil {
+	if c.closed || c.termErr != nil || !m.healthy || m.gen != live {
 		c.cmu.Unlock()
 		return
 	}
